@@ -19,6 +19,7 @@ from .cq import (
     ConjunctiveQuery,
     Database,
     compute_core,
+    count,
     evaluate,
     homomorphically_equivalent,
     hypergraph_of,
@@ -373,19 +374,23 @@ def _reduction_instance(rng, max_steps=3):
 
 def criterion_9_reduction_soundness(rng, quick=False) -> tuple[bool, str]:
     """Rebuilt instances project onto the original solutions with equal count,
-    against brute-force evaluation."""
+    against brute-force evaluation; ``count`` on both sides matches it too."""
     goal = 30 if quick else 200
     failures = 0
     for _ in range(goal):
         q, d, h, seq = _reduction_instance(rng)
         red = reduce_along_dilution(q, d, h, seq)
         oracle = _brute_solutions(q, d)
-        if evaluate(q, d) != oracle:
+        if evaluate(q, d) != oracle or count(q, d) != len(oracle):
             failures += 1
             continue
         sols_p = evaluate(red.query, red.database)
         pulled = red.pull_back(project(sols_p, set(red.rename_dict().values())))
-        if pulled != oracle or len(sols_p) != len(oracle):
+        if (
+            pulled != oracle
+            or len(sols_p) != len(oracle)
+            or count(red.query, red.database) != len(oracle)
+        ):
             failures += 1
     return failures == 0, f"{goal - failures}/{goal} instances sound"
 

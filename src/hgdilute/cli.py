@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import tempfile
+import time
 
 from . import formats
 from .cq import (
@@ -330,6 +331,7 @@ def _cmd_suite(args) -> int:
     only = None
     if args.only:
         only = {int(x) for x in args.only.split(",")}
+    start = time.monotonic()
     results = run_suite(only=only, quick=args.quick, seed=args.seed)
     width = max(len(r.name) for r in results)
     failures = 0
@@ -337,7 +339,10 @@ def _cmd_suite(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"  {r.ident:>2}  {r.name:<{width}}  {status}  {r.detail}")
         failures += 0 if r.passed else 1
-    print(f"{len(results) - failures}/{len(results)} criteria passed")
+    print(
+        f"{len(results) - failures}/{len(results)} criteria passed "
+        f"in {time.monotonic() - start:.1f}s"
+    )
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 
 

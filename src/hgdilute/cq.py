@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .decomposition import WidthReport, exact_ghw
-from .errors import InvalidInputError, LimitExceededError
+from .errors import ConstructionError, InvalidInputError, LimitExceededError
 from .hypergraph import Hypergraph, edge_key, isomorphic
 from .dilution import (
     DeleteSubedge,
@@ -118,8 +118,22 @@ def hypergraph_of(q: ConjunctiveQuery) -> Hypergraph:
     return Hypergraph.make(a.var_set() for a in q.atoms)
 
 
-def evaluate(q: ConjunctiveQuery, d: Database) -> frozenset[Assignment]:
-    """Exact solution set via atom-at-a-time join; all variables stay free."""
+# -- evaluation and counting by variable elimination ---------------------------
+#
+# A factor is a scope (distinct variables) and a sparse table mapping each
+# row over that scope to its multiplicity.  Every atom starts as a factor
+# whose rows all have multiplicity 1; eliminating a variable hash-joins the
+# factors that contain it (multiplicities multiply) and sums it out.  The
+# cost follows the elimination width of the query, not its solution count.
+
+_Factor = tuple[tuple[str, ...], dict[tuple[str, ...], int]]
+
+
+def _atom_factors(q: ConjunctiveQuery, d: Database) -> list[_Factor]:
+    """Validate q against d, then one factor per atom.
+
+    A row survives only if it agrees on the atom's repeated variables.
+    """
     rels = d.relations_dict()
     q.relation_arities()
     for a in q.atoms:
@@ -130,28 +144,131 @@ def evaluate(q: ConjunctiveQuery, d: Database) -> frozenset[Assignment]:
                 raise InvalidInputError(
                     f"relation {a.relation} arity mismatch with query"
                 )
-    partial: list[dict[str, str]] = [{}]
+    factors = []
     for a in q.atoms:
-        rows = rels[a.relation]
-        grown: list[dict[str, str]] = []
-        for p in partial:
-            for row in rows:
-                merged = dict(p)
-                ok = True
-                for var, const in zip(a.args, row):
-                    if merged.setdefault(var, const) != const:
-                        ok = False
-                        break
-                if ok:
-                    grown.append(merged)
-        partial = grown
-        if not partial:
-            break
-    return frozenset(Assignment.of(p) for p in partial)
+        scope = tuple(dict.fromkeys(a.args))
+        first = [a.args.index(v) for v in scope]
+        repeats = [
+            (i, a.args.index(v)) for i, v in enumerate(a.args) if a.args.index(v) != i
+        ]
+        table = {
+            tuple(row[i] for i in first): 1
+            for row in rels[a.relation]
+            if all(row[i] == row[j] for i, j in repeats)
+        }
+        factors.append((scope, table))
+    return factors
+
+
+def _next_variable(factors: list[_Factor]) -> str:
+    """Minimum degree over the scopes of the live factors, ties by name."""
+    neighbours: dict[str, set[str]] = {}
+    for scope, _ in factors:
+        for v in scope:
+            neighbours.setdefault(v, set()).update(scope)
+    return min(neighbours, key=lambda v: (len(neighbours[v]), v))
+
+
+def _join(left: _Factor, right: _Factor) -> _Factor:
+    """Hash join on the shared variables; the right side is indexed."""
+    lscope, ltable = left
+    rscope, rtable = right
+    lpos = {v: i for i, v in enumerate(lscope)}
+    lkey = [lpos[v] for v in rscope if v in lpos]
+    rkey = [i for i, v in enumerate(rscope) if v in lpos]
+    rest = [i for i, v in enumerate(rscope) if v not in lpos]
+    index: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
+    for row, n in rtable.items():
+        index.setdefault(tuple(row[i] for i in rkey), []).append(
+            (tuple(row[i] for i in rest), n)
+        )
+    out = {}
+    for row, n in ltable.items():
+        for tail, m in index.get(tuple(row[i] for i in lkey), ()):
+            out[row + tail] = n * m
+    return lscope + tuple(rscope[i] for i in rest), out
+
+
+def _sum_out(factor: _Factor, v: str) -> _Factor:
+    scope, table = factor
+    i = scope.index(v)
+    out: dict[tuple[str, ...], int] = {}
+    for row, n in table.items():
+        key = row[:i] + row[i + 1 :]
+        out[key] = out.get(key, 0) + n
+    return scope[:i] + scope[i + 1 :], out
+
+
+def _eliminate(
+    q: ConjunctiveQuery, d: Database
+) -> tuple[int, list[tuple[str, _Factor]]]:
+    """Forward sum-product pass over the atom factors.
+
+    Returns the solution count and, in elimination order, each variable with
+    its joined table from before its sum-out.  A count of 0 comes with no
+    tables: the pass stops at the first empty factor.
+    """
+    live: list[_Factor] = []
+    for scope, table in _atom_factors(q, d):
+        if not table:
+            return 0, []
+        if scope:
+            live.append((scope, table))
+    total = 1
+    steps: list[tuple[str, _Factor]] = []
+    while live:
+        v = _next_variable(live)
+        touching = sorted((f for f in live if v in f[0]), key=lambda f: len(f[1]))
+        live = [f for f in live if v not in f[0]]
+        joined = touching[0]
+        for f in touching[1:]:
+            joined = _join(joined, f)
+            if not joined[1]:
+                return 0, []
+        steps.append((v, joined))
+        scope, table = _sum_out(joined, v)
+        if scope:
+            live.append((scope, table))
+        else:
+            total *= table[()]
+    return total, steps
 
 
 def count(q: ConjunctiveQuery, d: Database) -> int:
-    return len(evaluate(q, d))
+    """Exact number of solutions, without listing any of them."""
+    return _eliminate(q, d)[0]
+
+
+def evaluate(q: ConjunctiveQuery, d: Database) -> frozenset[Assignment]:
+    """Exact solution set by variable elimination; all variables stay free.
+
+    The forward pass is the one ``count`` runs.  The backward pass assigns
+    the variables in reverse elimination order, each looked up in its joined
+    table on the table's other (already assigned) variables.  Every row of a
+    joined table extends to a full solution, so nothing backtracks.
+    """
+    total, steps = _eliminate(q, d)
+    if total == 0:
+        return frozenset()
+    names: list[str] = []
+    partial: list[tuple[str, ...]] = [()]
+    for v, (scope, table) in reversed(steps):
+        i = scope.index(v)
+        at = {w: j for j, w in enumerate(names)}
+        key = [at[w] for w in scope if w != v]
+        index: dict[tuple[str, ...], list[str]] = {}
+        for row in table:
+            index.setdefault(row[:i] + row[i + 1 :], []).append(row[i])
+        partial = [p + (c,) for p in partial for c in index[tuple(p[j] for j in key)]]
+        names.append(v)
+    if len(partial) != total:  # pragma: no cover - elimination invariant
+        raise ConstructionError(
+            f"backward pass listed {len(partial)} solutions, count is {total}"
+        )
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return frozenset(
+        Assignment(tuple((names[j], p[j]) for j in order)) for p in partial
+    )
 
 
 def project(solutions, variables) -> frozenset[Assignment]:
@@ -315,7 +432,7 @@ def reduce_along_dilution(
     want = Hypergraph.make(states[0].edges)
     got = hypergraph_of(cur_q)
     if got != want:  # pragma: no cover - reversal invariant
-        raise AssertionError("reversal did not rebuild the source hypergraph")
+        raise ConstructionError("reversal did not rebuild the source hypergraph")
     rename_pairs = tuple(sorted(rename.items()))
     return DilutionReduction(cur_q, cur_d, rename_pairs, tuple(sizes))
 

@@ -22,7 +22,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, LimitExceededError
+from .errors import ConstructionError, InvalidInputError, LimitExceededError
 from .hypergraph import Hypergraph, edge_key
 
 DEFAULT_TW_VERTEX_LIMIT = 12
@@ -285,10 +285,13 @@ def exact_treewidth(
     width, order = _min_max_ordering(h.vertices, adj, lambda bag: len(bag) - 1)
     td = _td_from_order(adj, order)
     ok, why = validate_td(h, td)
-    if not ok:  # pragma: no cover - construction invariant
-        raise AssertionError(f"elimination decomposition invalid: {why}")
+    if not ok:  # construction invariant
+        raise ConstructionError(f"elimination decomposition invalid: {why}")
     report = td_width(td)
-    assert report.width == width
+    if report.width != width:  # construction invariant
+        raise ConstructionError(
+            f"decomposition width {report.width} differs from optimum {width}"
+        )
     return report, td
 
 
@@ -342,9 +345,12 @@ def exact_ghw(
     ghd = GHDecomposition(td, covers)
     ok, why = validate_ghd(h, ghd)
     if not ok:  # pragma: no cover - construction invariant
-        raise AssertionError(f"elimination cover decomposition invalid: {why}")
+        raise ConstructionError(f"elimination cover decomposition invalid: {why}")
     report = ghd_width(ghd)
-    assert report.width == width
+    if report.width != width:  # pragma: no cover - construction invariant
+        raise ConstructionError(
+            f"cover decomposition width {report.width} differs from optimum {width}"
+        )
     return report, ghd
 
 
@@ -385,7 +391,9 @@ def merge_transform(h: Hypergraph, ghd: GHDecomposition, v: str) -> GHDecomposit
 
     ok, why = validate_ghd(merge_on(h, v), out)
     if not ok:  # pragma: no cover - transform invariant
-        raise AssertionError(f"merge transform produced invalid decomposition: {why}")
+        raise ConstructionError(
+            f"merge transform produced invalid decomposition: {why}"
+        )
     return out
 
 
@@ -422,5 +430,5 @@ def ghd_from_dual_td(
     )
     ok, why = validate_ghd(h, ghd)
     if not ok:  # pragma: no cover - transform invariant
-        raise AssertionError(f"dual transform produced invalid decomposition: {why}")
+        raise ConstructionError(f"dual transform produced invalid decomposition: {why}")
     return ghd

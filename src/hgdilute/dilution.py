@@ -18,7 +18,12 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, InvalidInputError, InvalidStepError
+from .errors import (
+    BudgetExceededError,
+    ConstructionError,
+    InvalidInputError,
+    InvalidStepError,
+)
 from .hypergraph import (
     Hypergraph,
     IsoWitness,
@@ -339,5 +344,6 @@ def track_labels(h_src: Hypergraph, seq: DilutionSequence) -> EdgeLabeling:
             union = frozenset().union(*(labels.pop(e) for e in incident))
             labels[merged] = labels.get(merged, frozenset()) | union
         cur = nxt
-    assert set(labels) == set(cur.edges)
+    if set(labels) != set(cur.edges):  # pragma: no cover - labelling invariant
+        raise ConstructionError("edge labels do not match the final edges")
     return EdgeLabeling(tuple(sorted(labels.items(), key=lambda kv: edge_key(kv[0]))))

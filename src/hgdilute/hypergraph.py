@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, ConstructionError, InvalidInputError
 
 Edge = frozenset  # edges are frozensets of vertex names
 
@@ -355,5 +355,5 @@ def isomorphic(
     mapping = tuple(sorted((v, by_label[lab]) for v, lab in lab1.items()))
     witness = IsoWitness(mapping)
     if not witness.check(h1, h2):  # pragma: no cover - canonical labeling bug
-        raise AssertionError("canonical labelings disagree with certificate")
+        raise ConstructionError("canonical labelings disagree with certificate")
     return witness

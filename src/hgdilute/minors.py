@@ -250,7 +250,7 @@ def extend_to_onto(g: Hypergraph, host: Hypergraph, mm: MinorMap) -> MinorMap:
     out = MinorMap.of(images)
     ok, why = validate_minor_map(g, host, out, require_onto=True)
     if not ok:  # pragma: no cover - absorption invariant
-        raise AssertionError(f"onto extension broke the map: {why}")
+        raise ConstructionError(f"onto extension broke the map: {why}")
     return out
 
 

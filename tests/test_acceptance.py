@@ -2,8 +2,8 @@
 
 Runs each criterion through the same runner the ``suite`` CLI command uses
 and prints one pass/fail line per criterion (visible with ``pytest -s`` or
-in the failure output).  Budgets: the whole battery completes in a few
-minutes; the heaviest members are the exhaustive minor/dilution equivalence
+in the failure output).  Budgets: the whole battery completes in well under
+a minute; the heaviest members are the exhaustive minor/dilution equivalence
 sweep and the width-oracle corpora.
 """
 

@@ -265,4 +265,4 @@ class TestSuiteCommand:
     def test_quick_suite(self, capsys):
         assert main(["suite", "--quick", "--only", "6,8,11"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out and "3/3" in out
+        assert "PASS" in out and "3/3 criteria passed in " in out

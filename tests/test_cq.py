@@ -18,6 +18,7 @@ from hgdilute.cq import (
     project,
     query_from_hypergraph,
     reduce_along_dilution,
+    rename_query,
     semantic_ghw,
 )
 from hgdilute.decomposition import exact_ghw
@@ -63,6 +64,44 @@ def random_instance(rng, max_atoms=5, max_dom=4):
 
 
 seeds = st.integers(min_value=0, max_value=10**6)
+
+
+@st.composite
+def general_instances(draw):
+    """Queries beyond query_from_hypergraph: repeated variables inside an
+    atom, self-joins (one symbol, several atoms), empty relations, and
+    disconnected atoms whose solutions form cross products."""
+    variables = draw(
+        st.lists(st.sampled_from("xyzuvw"), min_size=1, max_size=5, unique=True)
+    )
+    arities = {r: draw(st.integers(0, 3)) for r in "RST"}
+    atoms = draw(
+        st.lists(
+            st.sampled_from("RST").flatmap(
+                lambda r: st.tuples(
+                    st.just(r),
+                    st.lists(
+                        st.sampled_from(variables),
+                        min_size=arities[r],
+                        max_size=arities[r],
+                    ).map(tuple),
+                )
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    dom = [str(i) for i in range(draw(st.integers(1, 3)))]
+    rels = {
+        r: draw(
+            st.sets(
+                st.tuples(*[st.sampled_from(dom)] * arities[r]),
+                max_size=6,
+            )
+        )
+        for r in {r for r, _ in atoms}
+    }
+    return ConjunctiveQuery.of(atoms), Database.of(rels)
 
 
 class TestHypergraphOf:
@@ -121,6 +160,69 @@ class TestEvaluate:
         rng = random.Random(seed)
         q, d = random_instance(rng)
         assert evaluate(q, d) == brute_solutions(q, d)
+
+    @given(general_instances())
+    @settings(max_examples=150)
+    def test_general_instances_against_brute_force(self, instance):
+        q, d = instance
+        oracle = brute_solutions(q, d)
+        assert count(q, d) == len(oracle)
+        assert evaluate(q, d) == oracle
+
+    def test_nullary_atoms(self):
+        q = Q(("R", "x"), ("B", ""))
+        yes = {"R": [("1",), ("2",)], "B": [()]}
+        assert count(q, Database.of(yes)) == 2
+        assert count(q, Database.of({**yes, "B": []})) == 0
+        assert evaluate(Q(), Database.of({})) == frozenset({Assignment(())})
+
+
+class TestJigsawCount:
+    """The jigsaw(3,3) query: 9 atoms over 12 variables, 40 rows per relation
+    over a domain of 8.  Listing solutions atom by atom does not finish in
+    reasonable time; elimination counts it in milliseconds."""
+
+    @staticmethod
+    def instance():
+        q = query_from_hypergraph(jigsaw(3, 3))
+        rng = random.Random(33)
+        dom = [str(i) for i in range(8)]
+        rels = {}
+        for a in q.atoms:
+            rows = set()
+            while len(rows) < 40:
+                rows.add(tuple(rng.choice(dom) for _ in a.args))
+            rels[a.relation] = rows
+        return q, Database.of(rels)
+
+    def test_count_matches_evaluate(self):
+        q, d = self.instance()
+        sols = evaluate(q, d)
+        assert count(q, d) == len(sols) > 0
+        rels = d.relations_dict()
+        for s in sols:
+            b = s.as_dict()
+            assert all(tuple(b[v] for v in a.args) in rels[a.relation] for a in q.atoms)
+
+    def test_invariant_under_permutation_and_renaming(self):
+        q, d = self.instance()
+        sols = evaluate(q, d)
+        rng = random.Random(7)
+        for _ in range(3):
+            atoms = list(q.atoms)
+            rng.shuffle(atoms)
+            names = list(q.variables())
+            fresh = [f"w{i}" for i in range(len(names))]
+            rng.shuffle(fresh)
+            mapping = dict(zip(names, fresh))
+            q2 = rename_query(ConjunctiveQuery(tuple(atoms)), mapping)
+            assert count(q2, d) == len(sols)
+            back = {w: v for v, w in mapping.items()}
+            got = frozenset(
+                Assignment.of({back[w]: c for w, c in s.as_dict().items()})
+                for s in evaluate(q2, d)
+            )
+            assert got == sols
 
 
 class TestSelfJoins:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgdilute import decomposition
 from hgdilute.decomposition import (
     GHDecomposition,
     TreeDecomposition,
@@ -19,7 +20,7 @@ from hgdilute.decomposition import (
     validate_td,
 )
 from hgdilute.dilution import merge_on, reduce_hypergraph
-from hgdilute.errors import InvalidInputError, LimitExceededError
+from hgdilute.errors import ConstructionError, InvalidInputError, LimitExceededError
 from hgdilute.hypergraph import Hypergraph, dual, edge_key
 from hgdilute.generators import grid, jigsaw
 
@@ -138,6 +139,19 @@ class TestExactTreewidth:
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             exact_treewidth(grid(4, 4), max_vertices=12)
+
+    @pytest.mark.parametrize(
+        "name,fake",
+        [
+            ("validate_td", lambda h, td: (False, "forced failure")),
+            ("td_width", lambda td: decomposition.WidthReport("tw", 99, "t1")),
+        ],
+    )
+    def test_failed_self_check_raises(self, monkeypatch, name, fake):
+        # the checks must survive ``python -O``, so they cannot be asserts
+        monkeypatch.setattr(decomposition, name, fake)
+        with pytest.raises(ConstructionError):
+            exact_treewidth(grid(2, 2))
 
     def test_empty_graph(self):
         rep, td = exact_treewidth(Hypergraph(frozenset(), frozenset()))
