@@ -26,7 +26,15 @@ from .cq import (
     compute_core,
     semantic_ghw,
 )
-from .decomposition import exact_ghw, exact_treewidth, ghd_width, td_width
+from .decomposition import (
+    DEFAULT_GHW_EDGE_LIMIT,
+    DEFAULT_GHW_VERTEX_LIMIT,
+    DEFAULT_TW_VERTEX_LIMIT,
+    exact_ghw,
+    exact_treewidth,
+    ghd_width,
+    td_width,
+)
 from .dilution import (
     DilutionSequence,
     apply_sequence,
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hypergraph")
     p.add_argument("--witness-out")
     p.add_argument("--max-vertices", type=int, default=None)
-    p.add_argument("--max-edges", type=int, default=10)
+    p.add_argument("--max-edges", type=int, default=DEFAULT_GHW_EDGE_LIMIT)
     p.set_defaults(func=_cmd_width)
 
     p = sub.add_parser(
@@ -480,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sghw", help="cover width of the query core")
     p.add_argument("query")
     p.add_argument("--max-vars", type=int, default=8)
-    p.add_argument("--max-edges", type=int, default=10)
+    p.add_argument("--max-edges", type=int, default=DEFAULT_GHW_EDGE_LIMIT)
     p.set_defaults(func=_cmd_sghw)
 
     p = sub.add_parser("suite", help="run the acceptance batteries")
@@ -502,7 +510,9 @@ def main(argv=None) -> int:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_INPUT
     if getattr(args, "max_vertices", -1) is None:
-        args.max_vertices = 12 if args.kind == "tw" else 14
+        args.max_vertices = (
+            DEFAULT_TW_VERTEX_LIMIT if args.kind == "tw" else DEFAULT_GHW_VERTEX_LIMIT
+        )
     try:
         return args.func(args)
     except BudgetExceededError as err:

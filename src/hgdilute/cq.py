@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .decomposition import WidthReport, exact_ghw
+from .decomposition import DEFAULT_GHW_EDGE_LIMIT, WidthReport, exact_ghw
 from .errors import ConstructionError, InvalidInputError, LimitExceededError
 from .hypergraph import Hypergraph, edge_key, isomorphic
 from .dilution import (
@@ -592,7 +592,7 @@ def homomorphically_equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bo
 def semantic_ghw(
     q: ConjunctiveQuery,
     max_vars: int = DEFAULT_CORE_VAR_LIMIT,
-    max_edges: int = 10,
+    max_edges: int = DEFAULT_GHW_EDGE_LIMIT,
 ) -> WidthReport:
     """Cover width of the core's hypergraph."""
     core = compute_core(q, max_vars=max_vars)

@@ -4,30 +4,40 @@ Width conventions: treewidth is max bag size minus one; generalized hypertree
 width is the max number of cover edges at a node.  A hypergraph with no edges
 has width 0 by convention (a single empty bag with an empty cover).
 
-Both exact oracles run a Held-Karp style dynamic program over elimination
-orderings.  For a monotone bag-cost function f, the minimum over orderings of
-the maximum elimination-bag cost equals the f-width over all tree
-decompositions: an ordering yields a decomposition with exactly its
-elimination bags, and conversely a perfect elimination ordering of the
-chordal completion induced by any decomposition produces bags that are
-subsets of that decomposition's bags.  Treewidth uses f = |bag| - 1 over all
-vertices; the cover width uses f = exact edge-cover number over the covered
-vertices (vertices in no edge never need a bag).  Exponential in the vertex
-count, hence the hard input limits.
+Both exact oracles minimise, over elimination orderings, the maximum cost of
+an elimination bag.  For a monotone bag-cost function f this equals the
+f-width over all tree decompositions: an ordering yields a decomposition with
+exactly its elimination bags, and conversely a perfect elimination ordering
+of the chordal completion induced by any decomposition produces bags that
+are subsets of that decomposition's bags.  Treewidth uses f = |bag| - 1 over
+all vertices; the cover width uses f = exact edge-cover number over the
+covered vertices (vertices in no edge never need a bag).
+
+The minimum is the exact subset dynamic program of Bodlaender, Fomin, Koster,
+Kratsch and Thilikos (On exact algorithms for treewidth, ACM TALG 2012), run
+on ints: the sorted vertices are indexed once, a vertex set is a bit mask,
+the primal adjacency is one mask per vertex, and the table over all 2^n
+eliminated sets is a flat list filled from the full set down to the empty
+one, with no recursion.  An elimination bag is a flood through the
+eliminated set whose every step is three table lookups.  The cover number of
+a bag mask is memoised per mask; the public ``min_edge_cover`` runs only on
+the n bags of the returned witness.  Ties go to the smallest vertex name, so
+the witness is a function of the input alone.  Time and memory grow as
+2^n, hence the hard input limits.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 
+from .dilution import merge_on
 from .errors import ConstructionError, InvalidInputError, LimitExceededError
-from .hypergraph import Hypergraph, edge_key
+from .hypergraph import Hypergraph, dual_with_map, edge_key
 
-DEFAULT_TW_VERTEX_LIMIT = 12
+DEFAULT_TW_VERTEX_LIMIT = 16
 DEFAULT_GHW_EDGE_LIMIT = 10
-DEFAULT_GHW_VERTEX_LIMIT = 14
+DEFAULT_GHW_VERTEX_LIMIT = 18
 
 
 @dataclass(frozen=True)
@@ -171,88 +181,106 @@ def ghd_width(ghd: GHDecomposition) -> WidthReport:
 # -- elimination-order dynamic program ---------------------------------------
 
 
-def _primal_adjacency(h: Hypergraph) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in h.vertices}
-    for e in h.edges:
-        for a in e:
-            for b in e:
-                if a != b:
-                    adj[a].add(b)
-    return adj
+def _mask(index: dict[str, int], vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << index[v]
+    return m
 
 
-def _elimination_bag(adj, eliminated: frozenset, v: str) -> frozenset:
-    """{v} plus vertices outside `eliminated` reachable from v through it."""
-    seen = {v}
-    stack = [v]
-    bag = {v}
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in seen:
+def _adjacency_masks(index: dict[str, int], edges) -> list[int]:
+    """Primal adjacency: bit j of entry i is set when i != j share an edge."""
+    adj = [0] * len(index)
+    for e in edges:
+        m = _mask(index, e)
+        for v in e:
+            adj[index[v]] |= m
+    return [a & ~(1 << i) for i, a in enumerate(adj)]
+
+
+def _union_table(block: list[int]) -> list[int]:
+    """Union of the block's masks for every sub-mask x of the block."""
+    table = [0] * (1 << len(block))
+    for x in range(1, len(table)):
+        bit = x & -x
+        table[x] = table[x ^ bit] | block[bit.bit_length() - 1]
+    return table
+
+
+def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
+    """Elimination order minimising the max bag cost, by a subset DP on masks.
+
+    best[P] is the least max bag cost of eliminating the rest once the set P
+    is gone; masks run from the full set down to 0, so every superset comes
+    first.  The bag of v after P is v plus the vertices outside P that v
+    reaches through P.  Vertices are tried in index order and only a strictly
+    smaller cost replaces the running choice, so the choice kept for P is the
+    least (cost, index); a vertex with best[P | v] already at the running
+    minimum cannot beat it and costs no bag.  The order follows the kept
+    choices from P = 0.  Returns the width, the order and the order's bags.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    # the union of adj over a mask is three lookups, one per block of at
+    # most w vertex indices
+    w = max(1, -(-n // 3))
+    w2, low = 2 * w, (1 << w) - 1
+    t0, t1, t2 = (_union_table(adj[lo : lo + w]) for lo in (0, w, w2))
+    bits = [(v, 1 << v) for v in range(n)]
+    best = [0] * (full + 1)
+    best[full] = -1
+    pick = [0] * (full + 1)
+    pick_bag = [0] * (full + 1)
+    for P in range(full - 1, -1, -1):
+        value = n + 1  # above any bag cost
+        for v, b in bits:
+            if P & b:
                 continue
-            seen.add(y)
-            if y in eliminated:
-                stack.append(y)
-            else:
-                bag.add(y)
-    return frozenset(bag)
-
-
-def _min_max_ordering(vertices, adj, cost):
-    """Elimination order minimizing the max bag cost, via subset memoization."""
-    verts = tuple(sorted(vertices))
-    n = len(verts)
-    NEG = -(10**9)
-
-    memo: dict[frozenset, int] = {frozenset(verts): NEG}
-
-    def best(P: frozenset) -> int:
-        got = memo.get(P)
-        if got is not None:
-            return got
-        value = None
-        for v in verts:
-            if v in P:
+            after = best[P | b]
+            if after >= value:
                 continue
-            c = max(cost(_elimination_bag(adj, P, v)), best(P | {v}))
-            if value is None or c < value:
-                value = c
-        memo[P] = value
-        return value
+            bag = adj[v]
+            reach = bag & P
+            if reach:
+                while True:
+                    around = t0[reach & low] | t1[reach >> w & low] | t2[reach >> w2]
+                    grown = reach | around & P
+                    if grown == reach:
+                        break
+                    reach = grown
+                bag = (bag | around) & ~P
+            bag |= b
+            c = cost(bag)
+            if c < after:
+                c = after
+            if c < value:
+                value, chosen, chosen_bag = c, v, bag
+        best[P] = value
+        pick[P] = chosen
+        pick_bag[P] = chosen_bag
 
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, n * 50 + 100))
-    try:
-        width = best(frozenset())
-    finally:
-        sys.setrecursionlimit(old)
-
-    order: list[str] = []
-    P: frozenset = frozenset()
-    while len(order) < n:
-        chosen = None
-        for v in verts:
-            if v in P:
-                continue
-            c = max(cost(_elimination_bag(adj, P, v)), best(P | {v}))
-            if chosen is None or (c, v) < chosen:
-                chosen = (c, v)
-        order.append(chosen[1])
-        P = P | {chosen[1]}
-    return width, order
+    order: list[int] = []
+    bags: list[int] = []
+    P = 0
+    while P != full:
+        order.append(pick[P])
+        bags.append(pick_bag[P])
+        P |= 1 << pick[P]
+    return best[0], order, bags
 
 
-def _td_from_order(adj, order: list[str]) -> TreeDecomposition:
-    """Standard elimination tree: bag(v) = {v} + later fill neighbors."""
-    pos = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset] = []
+def _td_from_order(
+    verts: list[str], order: list[int], bags: list[int]
+) -> TreeDecomposition:
+    """Elimination tree: each bag hangs below its earliest later member."""
+    pos = [0] * len(verts)
     for i, v in enumerate(order):
-        bags.append(_elimination_bag(adj, frozenset(order[:i]), v))
+        pos[v] = i
+    members = [[v for v in range(len(verts)) if bag >> v & 1] for bag in bags]
     names = [f"t{i + 1}" for i in range(len(order))]
     parents: list[tuple[str, str | None]] = []
     for i in range(len(order)):
-        later = [pos[w] for w in bags[i] if pos[w] > i]
+        later = [pos[v] for v in members[i] if pos[v] > i]
         if later:
             parents.append((names[i], names[min(later)]))
         elif i + 1 < len(order):
@@ -262,7 +290,9 @@ def _td_from_order(adj, order: list[str]) -> TreeDecomposition:
     return TreeDecomposition(
         tuple(names),
         tuple(parents),
-        tuple((names[i], bags[i]) for i in range(len(order))),
+        tuple(
+            (name, frozenset(verts[v] for v in m)) for name, m in zip(names, members)
+        ),
     )
 
 
@@ -281,9 +311,12 @@ def exact_treewidth(
     if not h.vertices:
         td = TreeDecomposition(("t1",), (("t1", None),), (("t1", frozenset()),))
         return WidthReport("tw", -1, "t1"), td
-    adj = _primal_adjacency(h)
-    width, order = _min_max_ordering(h.vertices, adj, lambda bag: len(bag) - 1)
-    td = _td_from_order(adj, order)
+    verts = sorted(h.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    # the bag size is the cost; the width is one less
+    size, order, bags = _eliminate(_adjacency_masks(index, h.edges), int.bit_count)
+    width = size - 1
+    td = _td_from_order(verts, order, bags)
     ok, why = validate_td(h, td)
     if not ok:  # construction invariant
         raise ConstructionError(f"elimination decomposition invalid: {why}")
@@ -307,6 +340,28 @@ def min_edge_cover(h: Hypergraph, bag: frozenset) -> frozenset[frozenset[str]]:
     raise InvalidInputError(f"bag {sorted(bag)} has vertices in no edge")
 
 
+def _cover_number(edges: list[int], n: int):
+    """Memoised exact edge-cover number of a vertex mask.
+
+    The lowest vertex of a mask lies in some edge of every cover, so
+    cover(m) = 1 + min over the edges e at that vertex of cover(m & ~e).
+    Each level of the recursion uses a new edge, so it is at most as deep as
+    there are edges.
+    """
+    at = [[e for e in edges if e >> i & 1] for i in range(n)]
+    memo = {0: 0}
+
+    def cover(m: int) -> int:
+        got = memo.get(m)
+        if got is None:
+            low = (m & -m).bit_length() - 1
+            got = 1 + min(cover(m & ~e) for e in at[low])
+            memo[m] = got
+        return got
+
+    return cover
+
+
 def exact_ghw(
     h: Hypergraph,
     max_edges: int = DEFAULT_GHW_EDGE_LIMIT,
@@ -327,21 +382,11 @@ def exact_ghw(
         ghd = GHDecomposition(td, (("t1", frozenset()),))
         return WidthReport("ghw", 0, "t1"), ghd
 
-    sub = Hypergraph(frozenset(covered), h.edges)
-    adj = _primal_adjacency(sub)
-
-    cover_cache: dict[frozenset, frozenset] = {}
-
-    def cover_for(bag: frozenset) -> frozenset:
-        got = cover_cache.get(bag)
-        if got is None:
-            got = min_edge_cover(h, bag)
-            cover_cache[bag] = got
-        return got
-
-    width, order = _min_max_ordering(covered, adj, lambda bag: len(cover_for(bag)))
-    td = _td_from_order(adj, order)
-    covers = tuple((n, cover_for(b)) for n, b in td.bags)
+    index = {v: i for i, v in enumerate(covered)}
+    cover = _cover_number([_mask(index, e) for e in h.edges], len(covered))
+    width, order, bags = _eliminate(_adjacency_masks(index, h.edges), cover)
+    td = _td_from_order(covered, order, bags)
+    covers = tuple((n, min_edge_cover(h, b)) for n, b in td.bags)
     ghd = GHDecomposition(td, covers)
     ok, why = validate_ghd(h, ghd)
     if not ok:  # pragma: no cover - construction invariant
@@ -387,8 +432,6 @@ def merge_transform(h: Hypergraph, ghd: GHDecomposition, v: str) -> GHDecomposit
         TreeDecomposition(ghd.td.nodes, ghd.td.parents, tuple(new_bags)),
         tuple(new_covers),
     )
-    from .dilution import merge_on
-
     ok, why = validate_ghd(merge_on(h, v), out)
     if not ok:  # pragma: no cover - transform invariant
         raise ConstructionError(
@@ -410,8 +453,6 @@ def ghd_from_dual_td(
     """
     if not h.is_reduced():
         raise InvalidInputError("hypergraph must be reduced")
-    from .hypergraph import dual_with_map
-
     d, edge_to_name = dual_with_map(h)
     if dual_vertex_to_edge is None:
         dual_vertex_to_edge = {name: e for e, name in edge_to_name.items()}

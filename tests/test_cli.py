@@ -142,8 +142,9 @@ class TestWidthCommands:
         assert "cover" in wit.read_text()
 
     def test_width_tw_limit_exit_2(self, tmp_path):
+        # grid(4,5) has 20 vertices, above the default treewidth limit of 16
         src = tmp_path / "g.hg"
-        assert main(["gen", "--family", "grid", "-n", "4", "-m", "4", "-o", str(src)]) == 0
+        assert main(["gen", "--family", "grid", "-n", "4", "-m", "5", "-o", str(src)]) == 0
         assert main(["width", "--kind", "tw", str(src)]) == 2
 
     def test_width_tw(self, tmp_path, capsys):

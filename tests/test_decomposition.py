@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -97,29 +98,32 @@ class TestValidators:
             validate_ghd(h, ghd)
 
 
-def brute_force_treewidth(h):
-    """Minimum over all elimination orderings, computed naively."""
-    verts = sorted(h.vertices)
+def min_max_over_permutations(vertices, edges, cost):
+    """Minimum over every vertex order of the max cost of an elimination bag,
+    playing the elimination game on explicit fill edges."""
     best = None
-    for order in itertools.permutations(verts):
-        adj = {v: set() for v in verts}
-        for e in h.edges:
-            for a in e:
-                for b in e:
-                    if a != b:
-                        adj[a].add(b)
-        width = 0
+    for order in itertools.permutations(sorted(vertices)):
+        adj = {v: set() for v in vertices}
+        for e in edges:
+            for a, b in itertools.permutations(e, 2):
+                adj[a].add(b)
+        width = None
         for v in order:
-            width = max(width, len(adj[v]))
-            for a in adj[v]:
-                for b in adj[v]:
-                    if a != b:
-                        adj[a].add(b)
-            for a in adj[v]:
+            c = cost(frozenset(adj[v]) | {v})
+            width = c if width is None else max(width, c)
+            if best is not None and width >= best:
+                break
+            for a, b in itertools.permutations(adj[v], 2):
+                adj[a].add(b)
+            for a in adj.pop(v):
                 adj[a].discard(v)
-            del adj[v]
         best = width if best is None else min(best, width)
     return best
+
+
+def brute_force_treewidth(h):
+    """Minimum over all elimination orderings, computed naively."""
+    return min_max_over_permutations(h.vertices, h.edges, lambda bag: len(bag) - 1)
 
 
 class TestExactTreewidth:
@@ -175,30 +179,12 @@ def brute_force_ghw(h):
     over orderings equals the optimum over all tree decompositions, so this
     also certifies that no decomposition of smaller width exists.
     """
-    covered = sorted({v for e in h.edges for v in e})
+    covered = frozenset().union(*h.edges)
     if not covered:
         return 0
-    best = None
-    for order in itertools.permutations(covered):
-        adj = {v: set() for v in covered}
-        for e in h.edges:
-            for a in e:
-                for b in e:
-                    if a != b:
-                        adj[a].add(b)
-        width = 0
-        for v in order:
-            bag = frozenset(adj[v]) | {v}
-            width = max(width, len(min_edge_cover(h, bag)))
-            for a in adj[v]:
-                for b in adj[v]:
-                    if a != b:
-                        adj[a].add(b)
-            for a in adj[v]:
-                adj[a].discard(v)
-            del adj[v]
-        best = width if best is None else min(best, width)
-    return best
+    return min_max_over_permutations(
+        covered, h.edges, lambda bag: len(min_edge_cover(h, bag))
+    )
 
 
 class TestExactGhw:
@@ -232,6 +218,78 @@ class TestExactGhw:
             assert len(min_edge_cover(h, bag)) <= rep.width
         # exhaustive permutation sweep certifies no smaller width exists
         assert rep.width == brute_force_ghw(h)
+
+
+@st.composite
+def small_hypergraphs(draw):
+    """Up to 7 vertices, isolated vertices, singleton and empty edges
+    allowed; names unordered relative to their drawing order."""
+    n = 7 - draw(st.integers(min_value=0, max_value=6))  # mostly large
+    names = draw(st.permutations("qzbmxad"))[:n]
+    edges = draw(
+        st.lists(
+            st.sets(st.sampled_from(names), max_size=4), min_size=n // 2, max_size=7
+        )
+    )
+    return Hypergraph(frozenset(names), frozenset(frozenset(e) for e in edges))
+
+
+class TestSubsetDP:
+    @given(small_hypergraphs())
+    @settings(max_examples=60)
+    def test_widths_match_every_permutation(self, h):
+        tw, td = exact_treewidth(h)
+        assert tw.width == brute_force_treewidth(h)
+        assert validate_td(h, td)[0]
+        ghw, ghd = exact_ghw(h)
+        assert ghw.width == brute_force_ghw(h)
+        assert validate_ghd(h, ghd)[0]
+
+    def test_interpreter_state_untouched(self, monkeypatch):
+        def refuse(limit):
+            raise RuntimeError("recursion limit changed")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert exact_treewidth(grid(3, 4))[0].width == 3
+        assert exact_ghw(jigsaw(3, 3))[0].width == 3
+
+    def test_pinned_treewidth_witness(self):
+        # ties go to the smallest vertex name, so the witness is pinned
+        rep, td = exact_treewidth(grid(3, 3))
+        assert rep == decomposition.WidthReport("tw", 3, "t5")
+        names = tuple(f"t{i}" for i in range(1, 10))
+        assert td.nodes == names
+        assert td.parents == tuple(zip(names, names[1:] + (None,)))
+        assert [sorted(b) for _, b in td.bags] == [
+            ["x1_1", "x1_2", "x2_1"],
+            ["x1_2", "x1_3", "x2_1", "x2_2"],
+            ["x1_3", "x2_1", "x2_2", "x2_3"],
+            ["x2_1", "x2_2", "x2_3", "x3_1"],
+            ["x2_2", "x2_3", "x3_1", "x3_2"],
+            ["x2_3", "x3_1", "x3_2"],
+            ["x2_3", "x3_2", "x3_3"],
+            ["x3_2", "x3_3"],
+            ["x3_3"],
+        ]
+
+    def test_pinned_cover_witness(self):
+        rep, ghd = exact_ghw(jigsaw(2, 2))
+        assert rep == decomposition.WidthReport("ghw", 2, "t3")
+        assert ghd.td.parents == (
+            ("t1", "t3"), ("t2", "t3"), ("t3", "t4"), ("t4", None)
+        )
+        assert [sorted(b) for _, b in ghd.td.bags] == [
+            ["h1_1", "v1_1", "v1_2"],
+            ["h2_1", "v1_1", "v1_2"],
+            ["v1_1", "v1_2"],
+            ["v1_2"],
+        ]
+        assert [sorted(sorted(e) for e in c) for _, c in ghd.covers] == [
+            [["h1_1", "v1_1"], ["h1_1", "v1_2"]],
+            [["h1_1", "v1_1"], ["h2_1", "v1_2"]],
+            [["h1_1", "v1_1"], ["h1_1", "v1_2"]],
+            [["h1_1", "v1_2"]],
+        ]
 
 
 class TestMergeTransform:
