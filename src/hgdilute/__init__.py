@@ -14,6 +14,7 @@ from .hypergraph import (
     Hypergraph,
     IsoWitness,
     Path,
+    PreJigsawWitness,
     canonical_form,
     dual,
     dual_with_map,
@@ -53,7 +54,6 @@ from .decomposition import (
 from .minors import (
     ExpressiveMinorMap,
     MinorMap,
-    PreJigsawWitness,
     expressive_from_minor,
     find_grid_minor,
     find_minor,

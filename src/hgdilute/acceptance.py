@@ -39,7 +39,6 @@ from .decomposition import (
 )
 from .dilution import (
     DilutionSequence,
-    MergeOn,
     apply_step,
     apply_sequence_states,
     merge_on,
@@ -61,7 +60,6 @@ from .hypergraph import (
     Hypergraph,
     canonical_form,
     dual,
-    dual_with_map,
     is_connected,
     isomorphic,
 )
@@ -88,7 +86,8 @@ class CriterionResult:
 # -- shared helpers --------------------------------------------------------------
 
 
-def _sample(rng, max_vertices, max_edges, max_degree, max_rank):
+def _sample(rng, max_vertices=6, max_edges=5, max_degree=3, max_rank=3):
+    """Feasible random connected hypergraph; resamples infeasible parameter draws."""
     while True:
         ne = rng.randint(1, max_edges)
         rank = rng.randint(2, max_rank)

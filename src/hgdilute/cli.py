@@ -17,11 +17,11 @@ import tempfile
 import time
 
 from . import formats
+from .acceptance import run_suite
 from .cq import (
+    DEFAULT_CORE_VAR_LIMIT,
     count as cq_count,
     evaluate,
-    hypergraph_of,
-    project,
     reduce_along_dilution,
     compute_core,
     semantic_ghw,
@@ -32,11 +32,8 @@ from .decomposition import (
     DEFAULT_TW_VERTEX_LIMIT,
     exact_ghw,
     exact_treewidth,
-    ghd_width,
-    td_width,
 )
 from .dilution import (
-    DilutionSequence,
     apply_sequence,
     reduce_hypergraph,
     search_dilution,
@@ -49,7 +46,7 @@ from .errors import (
     ParseError,
 )
 from .generators import grid, jigsaw, mesh, random_hypergraph, subdivided_jigsaw
-from .hypergraph import dual_with_map, primal_graph
+from .hypergraph import Hypergraph, dual_with_map, primal_graph
 from .minors import (
     expressive_from_minor,
     find_grid_minor,
@@ -149,8 +146,6 @@ def _cmd_dual(args) -> int:
     for e, generated in edge_to_name.items():
         renamed[generated] = by_edge.get(e, generated)
     # dual vertices take the input file's edge names where available
-    from .hypergraph import Hypergraph
-
     try:
         d2 = Hypergraph(
             frozenset(renamed[v] for v in d.vertices),
@@ -334,8 +329,6 @@ def _cmd_sghw(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from .acceptance import run_suite
-
     only = None
     if args.only:
         only = {int(x) for x in args.only.split(",")}
@@ -482,12 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("core", help="minimal homomorphically equivalent query")
     p.add_argument("query")
     p.add_argument("-o", "--output")
-    p.add_argument("--max-vars", type=int, default=8)
+    p.add_argument("--max-vars", type=int, default=DEFAULT_CORE_VAR_LIMIT)
     p.set_defaults(func=_cmd_core)
 
     p = sub.add_parser("sghw", help="cover width of the query core")
     p.add_argument("query")
-    p.add_argument("--max-vars", type=int, default=8)
+    p.add_argument("--max-vars", type=int, default=DEFAULT_CORE_VAR_LIMIT)
     p.add_argument("--max-edges", type=int, default=DEFAULT_GHW_EDGE_LIMIT)
     p.set_defaults(func=_cmd_sghw)
 

@@ -83,14 +83,6 @@ class TreeDecomposition:
             seen.update(trail)
         return None
 
-    def neighbors(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for n, p in self.parents:
-            if p is not None:
-                adj[n].add(p)
-                adj[p].add(n)
-        return adj
-
 
 @dataclass(frozen=True)
 class GHDecomposition:
@@ -111,22 +103,6 @@ class WidthReport:
     witness_node: str | None
 
 
-def _subtree_connected(td: TreeDecomposition, nodes_with: set[str]) -> bool:
-    if len(nodes_with) <= 1:
-        return True
-    adj = td.neighbors()
-    start = next(iter(nodes_with))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in nodes_with and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == nodes_with
-
-
 def validate_td(h: Hypergraph, td: TreeDecomposition) -> tuple[bool, str | None]:
     """Both decomposition conditions; returns the first violation found."""
     err = td.tree_error()
@@ -139,9 +115,12 @@ def validate_td(h: Hypergraph, td: TreeDecomposition) -> tuple[bool, str | None]
     for e in sorted(h.edges, key=edge_key):
         if not any(e <= b for b in bags.values()):
             return False, f"edge {sorted(e)} not contained in any bag"
+    # in a rooted tree each connected part of a node set has exactly one
+    # topmost node, the one whose parent lies outside the set
+    parent = td.parent_of()
     for v in sorted(h.vertices):
         nodes_with = {n for n, b in bags.items() if v in b}
-        if not _subtree_connected(td, nodes_with):
+        if sum(parent[n] not in nodes_with for n in nodes_with) > 1:
             return False, f"occurrences of vertex {v} are not connected"
     return True, None
 

@@ -14,14 +14,12 @@ means proven absence, while running out of budget raises.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
     ConstructionError,
-    InvalidInputError,
     InvalidStepError,
 )
 from .hypergraph import (
@@ -193,9 +191,7 @@ def reduce_hypergraph(h: Hypergraph) -> tuple[Hypergraph, DilutionSequence]:
     for vtype, group in sorted(by_type.items(), key=lambda kv: kv[1][0]):
         if vtype:
             steps.extend(DeleteVertex(v) for v in group[1:])
-    cur = h
-    for s in steps:
-        cur = apply_step(cur, s)
+    cur = apply_sequence(h, DilutionSequence(tuple(steps)))
     for v in sorted(cur.vertices):
         if all(v not in e for e in cur.edges):
             steps.append(DeleteVertex(v))
@@ -319,14 +315,9 @@ def track_labels(h_src: Hypergraph, seq: DilutionSequence) -> EdgeLabeling:
     incident to the merged vertex.  Labels of distinct surviving edges stay
     pairwise disjoint throughout.
     """
-    _check_fingerprint(h_src, seq)
+    states = apply_sequence_states(h_src, seq)
     labels: dict[frozenset, frozenset] = {e: frozenset([e]) for e in h_src.edges}
-    cur = h_src
-    for i, step in enumerate(seq):
-        try:
-            nxt = apply_step(cur, step)
-        except InvalidStepError as err:
-            raise InvalidStepError(str(err), index=i) from None
+    for step, cur in zip(seq, states):
         if isinstance(step, DeleteVertex):
             new_labels: dict[frozenset, frozenset] = {}
             for e, lab in labels.items():
@@ -343,7 +334,6 @@ def track_labels(h_src: Hypergraph, seq: DilutionSequence) -> EdgeLabeling:
             merged = frozenset().union(*incident) - {step.vertex}
             union = frozenset().union(*(labels.pop(e) for e in incident))
             labels[merged] = labels.get(merged, frozenset()) | union
-        cur = nxt
-    if set(labels) != set(cur.edges):  # pragma: no cover - labelling invariant
+    if set(labels) != set(states[-1].edges):  # pragma: no cover - labelling invariant
         raise ConstructionError("edge labels do not match the final edges")
     return EdgeLabeling(tuple(sorted(labels.items(), key=lambda kv: edge_key(kv[0]))))

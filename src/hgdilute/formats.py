@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 
-from .cq import Assignment, Atom, ConjunctiveQuery, Database
+from .cq import Assignment, ConjunctiveQuery, Database
 from .decomposition import GHDecomposition, TreeDecomposition
 from .dilution import (
     DeleteSubedge,
@@ -32,8 +32,9 @@ from .dilution import (
     MergeOn,
 )
 from .errors import ParseError
-from .hypergraph import Hypergraph, Path, edge_key
-from .minors import ExpressiveMinorMap, MinorMap, PreJigsawWitness
+from .generators import jigsaw_named_edges
+from .hypergraph import Hypergraph, Path, PreJigsawWitness, edge_key
+from .minors import ExpressiveMinorMap, MinorMap
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+$")
 _ATOM_RE = re.compile(r"(?P<name>[A-Za-z0-9_]+)\s*\(\s*(?P<args>[^)]*)\)\s*$")
@@ -537,8 +538,6 @@ def parse_expressive(
 def write_prejigsaw(
     w: PreJigsawWitness, edges_by_name: dict[str, frozenset], fmt: str = "text"
 ) -> str:
-    from .generators import jigsaw_named_edges
-
     name_of = {}
     for n, e in edges_by_name.items():
         name_of.setdefault(e, n)
@@ -587,8 +586,6 @@ def write_prejigsaw(
 def parse_prejigsaw(
     text: str, edges_by_name: dict[str, frozenset]
 ) -> PreJigsawWitness:
-    from .generators import jigsaw_named_edges
-
     def resolve(en: str, where: str) -> frozenset:
         if en not in edges_by_name:
             raise ParseError(f"unknown edge name {en!r} in {where}")

@@ -15,10 +15,10 @@ seed (CPython's Mersenne Twister via ``random.Random``).
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 from .errors import InvalidInputError
-from .hypergraph import Hypergraph, Path, is_connected
-from .minors import PreJigsawWitness
+from .hypergraph import Hypergraph, Path, PreJigsawWitness, edge_key, is_connected
 
 __all__ = [
     "grid",
@@ -168,7 +168,7 @@ def subdivided_jigsaw(
         edge_groups=tuple(
             sorted(
                 ((je, frozenset(region)) for je, region in groups.items()),
-                key=lambda kv: tuple(sorted(kv[0])),
+                key=lambda kv: edge_key(kv[0]),
             )
         ),
         fixed_paths=tuple(sorted(paths.items())),
@@ -247,9 +247,7 @@ def fig3_sequence():
     diagonal cell, then delete all cells except one junction cell per
     adjacent pair of the six merged row-column blobs.
     """
-    from importlib import resources
-
-    from .formats import parse_sequence
+    from .formats import parse_sequence  # formats imports this module: a cycle
 
     text = (
         resources.files("hgdilute").joinpath("data/mesh66_to_jigsaw32.dseq").read_text()

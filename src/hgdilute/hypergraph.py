@@ -6,6 +6,13 @@ collapse automatically; empty edges and isolated vertices are representable.
 All values are frozen and all operations are pure, so everything here is safe
 for unrestricted concurrent use.
 
+``neighbors`` (primal adjacency) and ``components`` (connected vertex
+classes) are the library's connectivity kernel, beside ``is_connected`` and
+the breadth-first search behind ``find_path``; other modules ask these
+instead of building their own.  The plain witness records ``Path``,
+``PreJigsawWitness`` and ``IsoWitness`` live here so that generators and
+search code can share them without importing each other.
+
 Isomorphism is decided through a canonical certificate computed by iterated
 partition refinement with individualization backtracking.  The certificate is
 also what search code uses to deduplicate states up to isomorphism.
@@ -151,12 +158,47 @@ class Path:
         return None
 
 
+@dataclass(frozen=True)
+class PreJigsawWitness:
+    """Corner embedding of an (n, m) jigsaw with edge regions and fixed paths.
+
+    ``corners`` maps each jigsaw vertex to a host vertex; ``edge_groups`` maps
+    each jigsaw edge (a frozenset of jigsaw vertices) to a disjoint set of
+    host edges; ``fixed_paths`` realizes every pair of corners sharing a
+    jigsaw edge by a path inside that edge's region.
+    """
+
+    rows: int
+    cols: int
+    corners: tuple[tuple[str, str], ...]
+    edge_groups: tuple[tuple[frozenset[str], frozenset[frozenset[str]]], ...]
+    fixed_paths: tuple[tuple[tuple[str, str], Path], ...]
+
+    def corner_dict(self) -> dict[str, str]:
+        return dict(self.corners)
+
+    def group_dict(self) -> dict[frozenset, frozenset]:
+        return dict(self.edge_groups)
+
+    def path_dict(self) -> dict[tuple[str, str], Path]:
+        return dict(self.fixed_paths)
+
+
 def find_path(h: Hypergraph, u: str, v: str) -> Path | None:
     """Shortest alternating path from u to v, or None when none exists."""
     if u == v:
         raise InvalidInputError("path endpoints must be distinct")
     if u not in h.vertices or v not in h.vertices:
         raise InvalidInputError("path endpoints must be vertices")
+    return _shortest_path(h, u, v, frozenset())
+
+
+def _shortest_path(h: Hypergraph, u: str, v: str, avoid) -> Path | None:
+    """Breadth-first path from u to v whose vertices stay out of ``avoid``.
+
+    Frontier vertices are expanded in name order and their edges in
+    ``edge_key`` order, so each vertex's predecessor edge is deterministic.
+    """
     prev: dict[str, tuple[str, frozenset]] = {}
     seen = {u}
     frontier = [u]
@@ -164,7 +206,7 @@ def find_path(h: Hypergraph, u: str, v: str) -> Path | None:
     for e in sorted(h.edges, key=edge_key):
         for a in e:
             for b in e:
-                if a != b:
+                if a != b and b not in avoid:
                     adj[a].append((b, e))
     while frontier:
         nxt = []
@@ -187,27 +229,39 @@ def find_path(h: Hypergraph, u: str, v: str) -> Path | None:
     return Path(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
-def is_connected(h: Hypergraph) -> bool:
-    """Union-find over edges; singleton hypergraphs count as connected."""
-    if len(h.vertices) <= 1:
-        return True
-    parent = {v: v for v in h.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def neighbors(h: Hypergraph) -> dict[str, set[str]]:
+    """Primal adjacency: every vertex mapped to the others sharing an edge."""
+    adj: dict[str, set[str]] = {v: set() for v in h.vertices}
     for e in h.edges:
-        it = iter(sorted(e))
-        first = next(it, None)
-        if first is None:
+        for v in e:
+            adj[v] |= e
+    for v, around in adj.items():
+        around.discard(v)
+    return adj
+
+
+def components(h: Hypergraph) -> list[frozenset[str]]:
+    """Connected vertex classes, ordered by their smallest vertex."""
+    adj = neighbors(h)
+    seen: set[str] = set()
+    out: list[frozenset[str]] = []
+    for v in sorted(h.vertices):
+        if v in seen:
             continue
-        for w in it:
-            parent[find(w)] = find(first)
-    roots = {find(v) for v in h.vertices}
-    return len(roots) == 1
+        comp = {v}
+        stack = [v]
+        while stack:
+            for y in adj[stack.pop()] - comp:
+                comp.add(y)
+                stack.append(y)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def is_connected(h: Hypergraph) -> bool:
+    """At most one component; hypergraphs with at most one vertex count."""
+    return len(components(h)) <= 1
 
 
 # -- isomorphism -------------------------------------------------------------

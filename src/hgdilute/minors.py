@@ -30,6 +30,7 @@ from .dilution import (
     DilutionSequence,
     MergeOn,
     apply_sequence,
+    delete_subedge,
     reduce_hypergraph,
     track_labels,
     verify_dilution,
@@ -39,7 +40,26 @@ from .errors import (
     ConstructionError,
     InvalidInputError,
 )
-from .hypergraph import Hypergraph, Path, dual, dual_with_map, edge_key
+from .generators import (
+    _grid_edge_names,
+    grid,
+    jigsaw,
+    jigsaw_named_edges,
+    subdivided_jigsaw,
+)
+from .hypergraph import (
+    Hypergraph,
+    Path,
+    PreJigsawWitness,
+    _shortest_path,
+    components,
+    dual,
+    dual_with_map,
+    edge_key,
+    is_connected,
+    isomorphic,
+    neighbors,
+)
 
 DEFAULT_MINOR_BUDGET = 10**6
 MINOR_COMPLETENESS_LIMIT = 14  # documented host size for practical completeness
@@ -64,25 +84,6 @@ def _check_graph(g: Hypergraph, name: str = "pattern"):
         raise InvalidInputError(f"{name} must be 2-uniform")
 
 
-def _vertex_set_connected(h: Hypergraph, vs: frozenset) -> bool:
-    """Connectivity of the subhypergraph induced on vs."""
-    if len(vs) <= 1:
-        return True
-    parent = {v: v for v in vs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in h.edges:
-        inside = sorted(e & vs)
-        for w in inside[1:]:
-            parent[find(w)] = find(inside[0])
-    return len({find(v) for v in vs}) == 1
-
-
 def _edge_connects(e: frozenset, a: frozenset, b: frozenset) -> bool:
     return bool(e & a) and bool(e & b)
 
@@ -105,7 +106,7 @@ def validate_minor_map(
         if s & taken:
             return False, f"branch set of {v} overlaps another"
         taken |= s
-        if not _vertex_set_connected(host, s):
+        if not is_connected(host.induced(s)):
             return False, f"branch set of {v} is not connected"
     for e in sorted(g.edges, key=edge_key):
         u, v = sorted(e)
@@ -121,12 +122,7 @@ def validate_minor_map(
 
 def _connected_subsets(host: Hypergraph) -> list[frozenset]:
     """Every connected vertex subset, each exactly once, small sets first."""
-    adj: dict[str, set[str]] = {v: set() for v in host.vertices}
-    for e in host.edges:
-        for a in e:
-            for b in e:
-                if a != b:
-                    adj[a].add(b)
+    adj = neighbors(host)
     out: list[frozenset] = []
 
     for v in sorted(host.vertices):
@@ -158,8 +154,6 @@ def find_minor(
     None means proven absence; exceeding the budget raises.
     """
     _check_graph(g)
-    from .hypergraph import is_connected
-
     if not is_connected(g):
         raise InvalidInputError("pattern must be connected")
     if len(g.vertices) > len(host.vertices):
@@ -167,11 +161,7 @@ def find_minor(
 
     order: list[str] = []
     seen: set[str] = set()
-    gadj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        a, b = sorted(e)
-        gadj[a].add(b)
-        gadj[b].add(a)
+    gadj = neighbors(g)
     start = min(g.vertices)
     queue = deque([start])
     seen.add(start)
@@ -225,12 +215,7 @@ def find_minor(
 def extend_to_onto(g: Hypergraph, host: Hypergraph, mm: MinorMap) -> MinorMap:
     """Absorb every unused host vertex into an adjacent branch set."""
     images = {v: set(s) for v, s in mm.as_dict().items()}
-    adj: dict[str, set[str]] = {v: set() for v in host.vertices}
-    for e in host.edges:
-        for a in e:
-            for b in e:
-                if a != b:
-                    adj[a].add(b)
+    adj = neighbors(host)
     free = set(host.vertices) - set().union(*images.values())
     while free:
         hit = None
@@ -263,8 +248,6 @@ def find_grid_minor(
     that the budget decides.  The host must be connected for the returned
     map to be onto.
     """
-    from .generators import grid
-
     g = grid(n, n)
     mm = find_minor(g, host, budget=budget)
     if mm is None:
@@ -325,8 +308,6 @@ def jigsaw_from_grid_minor(
     interior spanning spine, and deletes everything but one junction vertex
     per pattern edge.  The result is verified before returning.
     """
-    from .hypergraph import is_connected
-
     _check_graph(g)
     if h.max_degree() > 2:
         raise InvalidInputError("hypergraph degree must be at most 2")
@@ -373,11 +354,7 @@ def jigsaw_from_grid_minor(
                 "merge spine would consume a junction vertex"
             )
         steps.extend(MergeOn(w) for w in spine)
-    cur = h_red
-    for s in steps:
-        from .dilution import apply_step
-
-        cur = apply_step(cur, s)
+    cur = apply_sequence(h_red, DilutionSequence(tuple(steps)))
     steps.extend(DeleteVertex(v) for v in sorted(cur.vertices - kept))
     seq = seq0.then(steps)
     ok, _ = verify_dilution(h, seq, dual(g))
@@ -396,8 +373,6 @@ def minor_from_dilution(
     vertices.  Needs at least 3 pattern vertices so that the dual of g keeps
     one edge per pattern vertex.
     """
-    from .hypergraph import is_connected
-
     _check_graph(g)
     if h.max_degree() > 2:
         raise InvalidInputError("hypergraph degree must be at most 2")
@@ -407,8 +382,6 @@ def minor_from_dilution(
         raise InvalidInputError("pattern must be connected")
     dg, gedge_name = dual_with_map(g)
     result = apply_sequence(h, seq)
-    from .hypergraph import isomorphic
-
     wit = isomorphic(result, dg)
     if wit is None:
         raise InvalidInputError("sequence does not reach the dual of the pattern")
@@ -468,21 +441,8 @@ def _edges_linked_avoiding(
     host: Hypergraph, a: frozenset, b: frozenset, marked: frozenset
 ) -> bool:
     """Whether edges a and b touch or connect via unmarked-edge paths."""
-    if a & b:
-        return True
-    allowed = [e for e in host.edges if e not in marked]
-    reached = set(a)
-    frontier = set(a)
-    while frontier:
-        nxt = set()
-        for e in allowed:
-            if e & frontier:
-                nxt |= e - reached
-        if nxt & b:
-            return True
-        reached |= nxt
-        frontier = nxt
-    return bool(reached & b)
+    linked = Hypergraph(host.vertices, (host.edges - marked) | {a, b})
+    return any(min(a) in c and min(b) in c for c in components(linked))
 
 
 def validate_expressive_minor(
@@ -549,32 +509,6 @@ def expressive_from_minor(
 
 
 @dataclass(frozen=True)
-class PreJigsawWitness:
-    """Corner embedding of an (n, m) jigsaw with edge regions and fixed paths.
-
-    ``corners`` maps each jigsaw vertex to a host vertex; ``edge_groups`` maps
-    each jigsaw edge (a frozenset of jigsaw vertices) to a disjoint set of
-    host edges; ``fixed_paths`` realizes every pair of corners sharing a
-    jigsaw edge by a path inside that edge's region.
-    """
-
-    rows: int
-    cols: int
-    corners: tuple[tuple[str, str], ...]
-    edge_groups: tuple[tuple[frozenset[str], frozenset[frozenset[str]]], ...]
-    fixed_paths: tuple[tuple[tuple[str, str], Path], ...]
-
-    def corner_dict(self) -> dict[str, str]:
-        return dict(self.corners)
-
-    def group_dict(self) -> dict[frozenset, frozenset]:
-        return dict(self.edge_groups)
-
-    def path_dict(self) -> dict[tuple[str, str], Path]:
-        return dict(self.fixed_paths)
-
-
-@dataclass(frozen=True)
 class PreJigsawReport:
     valid: bool
     reason: str | None
@@ -583,24 +517,7 @@ class PreJigsawReport:
 
 def trivial_prejigsaw_witness(n: int, m: int) -> PreJigsawWitness:
     """Identity witness showing a jigsaw is its own pre-jigsaw."""
-    from .generators import jigsaw_named_edges
-
-    named = jigsaw_named_edges(n, m)
-    jedges = sorted(set(named.values()), key=edge_key)
-    corners = sorted({v for e in jedges for v in e})
-    paths = {}
-    for e in jedges:
-        mem = sorted(e)
-        for i, a in enumerate(mem):
-            for b in mem[i + 1 :]:
-                paths[(a, b)] = Path((a, b), (e,))
-    return PreJigsawWitness(
-        rows=n,
-        cols=m,
-        corners=tuple((v, v) for v in corners),
-        edge_groups=tuple((e, frozenset([e])) for e in jedges),
-        fixed_paths=tuple(sorted(paths.items())),
-    )
+    return subdivided_jigsaw(n, m, 0)[1]
 
 
 def validate_prejigsaw(
@@ -611,8 +528,6 @@ def validate_prejigsaw(
     Injectivity of the corner map is reported separately and does not affect
     validity on its own (a non-injective map already fails the path checks).
     """
-    from .generators import jigsaw_named_edges
-
     if (witness.rows, witness.cols) != (n, m):
         return PreJigsawReport(False, "witness dimensions disagree", True)
     named = jigsaw_named_edges(n, m)
@@ -671,11 +586,21 @@ def validate_prejigsaw(
     return PreJigsawReport(True, None, injective)
 
 
+def _apply_dropping_empty_edge(h: Hypergraph, steps: list) -> Hypergraph:
+    """Apply steps to h, then delete the empty edge they leave, if any.
+
+    The deletion is appended to ``steps``; like any subedge deletion it fails
+    when the empty edge is the only edge left.
+    """
+    cur = apply_sequence(h, DilutionSequence(tuple(steps)))
+    if frozenset() in cur.edges:
+        steps.append(DeleteSubedge(frozenset()))
+        cur = delete_subedge(cur, frozenset())
+    return cur
+
+
 def prejigsaw_to_jigsaw(h: Hypergraph, witness: PreJigsawWitness) -> DilutionSequence:
     """Collapse a degree-2 pre-jigsaw onto its jigsaw by merging each region."""
-    from .dilution import apply_step
-    from .generators import jigsaw
-
     if h.max_degree() > 2:
         raise InvalidInputError("hypergraph degree must be at most 2")
     n, m = witness.rows, witness.cols
@@ -693,12 +618,7 @@ def prejigsaw_to_jigsaw(h: Hypergraph, witness: PreJigsawWitness) -> DilutionSeq
             continue
         spine = _region_merge_spine(h, region, protected=pi_image)
         steps.extend(MergeOn(w) for w in spine)
-    cur = h
-    for s in steps:
-        cur = apply_step(cur, s)
-    if frozenset() in cur.edges:
-        steps.append(DeleteSubedge(frozenset()))
-        cur = apply_step(cur, steps[-1])
+    cur = _apply_dropping_empty_edge(h, steps)
     steps.extend(DeleteVertex(v) for v in sorted(cur.vertices - pi_image))
     seq = DilutionSequence.for_source(h, steps)
     ok, _ = verify_dilution(h, seq, jigsaw(n, m))
@@ -718,8 +638,6 @@ def prejigsaw_from_expressive_minor(
     dilution deletes everything off those paths and drops the resulting empty
     edge.  The witness is validated on the diluted hypergraph before return.
     """
-    from .generators import _grid_edge_names, grid, jigsaw_named_edges
-
     h_red, seq0 = reduce_hypergraph(h)
     d, edge_to_name = dual_with_map(h_red)
     name_to_edge = {name: e for e, name in edge_to_name.items()}
@@ -749,12 +667,13 @@ def prejigsaw_from_expressive_minor(
     pi_image = set(pi.values())
     paths: dict[tuple[str, str], Path] = {}
     for je in sorted(set(named_jedges.values()), key=edge_key):
-        region = groups[je]
+        region = Hypergraph(h_red.vertices, groups[je])
+        # pi is injective (h_red is reduced), so the two ends always differ
         mem = sorted(je)
         for i, a in enumerate(mem):
             for b in mem[i + 1 :]:
                 forbidden = pi_image - {pi[a], pi[b]}
-                p = _region_path(h_red, region, pi[a], pi[b], forbidden)
+                p = _shortest_path(region, pi[a], pi[b], forbidden)
                 if p is None:
                     raise ConstructionError(
                         f"no region path between corners {a} and {b}"
@@ -763,14 +682,7 @@ def prejigsaw_from_expressive_minor(
 
     keep = pi_image | {v for p in paths.values() for v in p.path_vertices}
     steps: list = [DeleteVertex(v) for v in sorted(h_red.vertices - keep)]
-    cur = h_red
-    from .dilution import apply_step
-
-    for s in steps:
-        cur = apply_step(cur, s)
-    if frozenset() in cur.edges:
-        steps.append(DeleteSubedge(frozenset()))
-        cur = apply_step(cur, steps[-1])
+    cur = _apply_dropping_empty_edge(h_red, steps)
 
     restricted_groups: dict[frozenset, frozenset] = {}
     seen_edges: set[frozenset] = set()
@@ -797,43 +709,3 @@ def prejigsaw_from_expressive_minor(
     if not report.valid:
         raise ConstructionError(f"dualized witness invalid: {report.reason}")
     return seq0.then(steps), witness
-
-
-def _region_path(
-    h: Hypergraph,
-    region: frozenset,
-    start: str,
-    goal: str,
-    forbidden: set[str],
-) -> Path | None:
-    """Shortest path from start to goal using only region edges.
-
-    Interior vertices avoid ``forbidden``; deterministic BFS order.
-    """
-    if start == goal:
-        return None
-    edges = sorted((e for e in region), key=edge_key)
-    prev: dict[str, tuple[str, frozenset]] = {}
-    seen = {start}
-    frontier = [start]
-    while frontier and goal not in seen:
-        nxt = []
-        for a in sorted(frontier):
-            for e in edges:
-                if a not in e:
-                    continue
-                for b in sorted(e):
-                    if b in seen or (b != goal and b in forbidden):
-                        continue
-                    seen.add(b)
-                    prev[b] = (a, e)
-                    nxt.append(b)
-        frontier = nxt
-    if goal not in seen:
-        return None
-    verts, pedges = [goal], []
-    while verts[-1] != start:
-        a, e = prev[verts[-1]]
-        pedges.append(e)
-        verts.append(a)
-    return Path(tuple(reversed(verts)), tuple(reversed(pedges)))

@@ -12,23 +12,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-from hgdilute.errors import InvalidInputError
-from hgdilute.generators import random_hypergraph
-
-
-def sample_hypergraph(rng: random.Random, max_vertices=6, max_edges=5, max_degree=3,
-                      max_rank=3):
-    """Feasible random connected hypergraph; resamples infeasible parameter draws."""
-    while True:
-        ne = rng.randint(1, max_edges)
-        rank = rng.randint(2, max_rank)
-        nv = rng.randint(2, max(2, min(max_vertices, ne * (rank - 1) + 1)))
-        try:
-            return random_hypergraph(
-                nv, ne, max_degree, rank, seed=rng.randint(0, 10**9), retries=60
-            )
-        except InvalidInputError:
-            continue
+from hgdilute.acceptance import _sample as sample_hypergraph
 
 
 @pytest.fixture

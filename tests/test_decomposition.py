@@ -81,6 +81,21 @@ class TestValidators:
         ok, why = validate_td(h, td)
         assert not ok and "connected" in why
 
+    def test_occurrences_in_sibling_subtrees_detected(self):
+        # b sits in both children of a root whose bag lacks it
+        h = H("ab", "bc")
+        td = TreeDecomposition(
+            ("r", "t1", "t2"),
+            (("r", None), ("t1", "r"), ("t2", "r")),
+            (
+                ("r", frozenset("ac")),
+                ("t1", frozenset("ab")),
+                ("t2", frozenset("bc")),
+            ),
+        )
+        ok, why = validate_td(h, td)
+        assert not ok and why == "occurrences of vertex b are not connected"
+
     def test_ghd_cover_condition(self):
         h = H("ab", "bc")
         td = one_bag(h)

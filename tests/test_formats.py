@@ -182,8 +182,9 @@ class TestWitnessFormats:
             assert parse_expressive(out, names) == emm
 
     def test_prejigsaw_round_trip(self):
-        h, w = subdivided_jigsaw(2, 2, 1)
-        names = auto_edge_names(h)
-        for fmt in ("text", "json"):
-            out = write_prejigsaw(w, names, fmt=fmt)
-            assert parse_prejigsaw(out, names) == w
+        for n, m, k in [(2, 2, 1), (2, 3, 1), (3, 3, 2)]:
+            h, w = subdivided_jigsaw(n, m, k)
+            names = auto_edge_names(h)
+            for fmt in ("text", "json"):
+                out = write_prejigsaw(w, names, fmt=fmt)
+                assert parse_prejigsaw(out, names) == w

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hgdilute.errors import InvalidInputError
 from hgdilute.hypergraph import (
     Hypergraph,
+    _shortest_path,
     canonical_form,
+    components,
     dual,
     dual_with_map,
     find_path,
@@ -29,6 +31,14 @@ small_hypergraphs = st.builds(
     lambda seed: sample_hypergraph(__import__("random").Random(seed)),
     st.integers(min_value=0, max_value=10**6),
 )
+
+
+@st.composite
+def raw_hypergraphs(draw):
+    """Up to 8 vertices, possibly none; empty and singleton edges allowed."""
+    verts = sorted(draw(st.sets(st.sampled_from("abcdefgh"))))
+    edge = st.sets(st.sampled_from(verts)) if verts else st.just(set())
+    return Hypergraph.make(draw(st.lists(edge, max_size=6)), verts)
 
 
 class TestBasics:
@@ -131,6 +141,33 @@ class TestPaths:
 
     def test_jigsaw_connected(self):
         assert is_connected(jigsaw(3, 3))
+
+    def test_avoid_forces_a_detour(self):
+        h = H("ab", "bc", "ad", "de", "ec")
+        assert _shortest_path(h, "a", "c", frozenset()).path_vertices == ("a", "b", "c")
+        p = _shortest_path(h, "a", "c", frozenset("b"))
+        assert p.path_vertices == ("a", "d", "e", "c")
+        assert p.check(h) is None
+
+    def test_avoid_blocking_the_only_route(self):
+        assert _shortest_path(H("ab", "bc"), "a", "c", frozenset("b")) is None
+
+    @given(raw_hypergraphs())
+    def test_components_match_reachability_closure(self, h):
+        reach = {v: {v} for v in h.vertices}
+        changed = True
+        while changed:
+            changed = False
+            for e in h.edges:
+                for v in h.vertices:
+                    if reach[v] & e and not e <= reach[v]:
+                        reach[v] |= e
+                        changed = True
+        classes = {frozenset(r) for r in reach.values()}
+        comps = components(h)
+        assert set(comps) == classes and len(comps) == len(classes)
+        assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        assert is_connected(h) == (len(classes) <= 1)
 
     @given(small_hypergraphs)
     def test_path_agrees_with_connectivity(self, h):

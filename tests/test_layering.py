@@ -1,0 +1,31 @@
+"""Module layering: every library import sits at the top of its module.
+
+The one exception is ``generators.fig3_sequence``, which imports the
+``formats`` module that itself imports ``generators``.
+"""
+
+import ast
+import pathlib
+
+import hgdilute
+
+ALLOWED = [("generators", "fig3_sequence", "formats")]
+
+
+def _function_imports():
+    found = []
+    for path in sorted(pathlib.Path(hgdilute.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    found += [(path.stem, fn.name, a.name) for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    found.append((path.stem, fn.name, node.module))
+    return found
+
+
+def test_imports_only_at_module_top():
+    assert _function_imports() == ALLOWED
