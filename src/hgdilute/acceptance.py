@@ -313,23 +313,23 @@ def criterion_7_degree2_equivalence(rng, quick=False) -> tuple[bool, str]:
     corpus = _degree2_corpus(
         max_h_edges=4 if quick else 6, max_h_vertices=5 if quick else 7
     )
-    targets = {}
-    for g in graphs:
-        targets[canonical_form(dual(g))] = g
     loop_host = canonical_form(Hypergraph.make([{"a"}]))
     two_vertex_pattern = canonical_form(Hypergraph.make([{"u", "v"}]))
+    targets = {}
+    for g in graphs:
+        targets[canonical_form(dual(g))] = (
+            g, canonical_form(g) == two_vertex_pattern
+        )
     checked = failures = degenerate = 0
     for h in corpus:
         reachable = reachable_dilutions(h, budget=2 * 10**5)
         dh = dual(h)
-        for cert, g in targets.items():
+        is_loop_host = canonical_form(h) == loop_host
+        for cert, (g, is_two_vertex) in targets.items():
             checked += 1
             has_dilution = cert in reachable
             has_minor = find_minor(g, dh, budget=10**6) is not None
-            if (
-                canonical_form(h) == loop_host
-                and canonical_form(g) == two_vertex_pattern
-            ):
+            if is_loop_host and is_two_vertex:
                 degenerate += 1
                 if not (has_dilution and not has_minor):
                     failures += 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from hgdilute.dilution import (
     search_dilution,
     verify_dilution,
 )
-from hgdilute.errors import ConstructionError, InvalidInputError
+from hgdilute.errors import BudgetExceededError, ConstructionError, InvalidInputError
 from hgdilute.generators import grid, jigsaw, mesh, subdivided_jigsaw
 from hgdilute.hypergraph import Hypergraph, dual, dual_with_map, isomorphic
 from hgdilute.minors import (
@@ -126,6 +127,106 @@ class TestFindMinor:
         d = graph_dual(jigsaw(3, 3))
         assert find_grid_minor(d, 3) is not None
         assert find_grid_minor(d, 2) is not None
+
+
+@st.composite
+def small_hosts(draw):
+    """Up to 6 vertices with hyperedges, singleton and empty edges and
+    isolated vertices; names unordered relative to their drawing order."""
+    n = 6 - draw(st.integers(min_value=0, max_value=6))  # mostly large
+    names = draw(st.permutations("pkcwfa"))[:n]
+    edge = st.sets(st.sampled_from(names), max_size=4) if names else st.just(set())
+    edges = draw(st.lists(edge, min_size=n // 2, max_size=7))
+    return Hypergraph(frozenset(names), frozenset(frozenset(e) for e in edges))
+
+
+@st.composite
+def small_patterns(draw):
+    """Connected graphs on 1 to 4 vertices: a random tree plus extra edges."""
+    n = 4 - draw(st.integers(min_value=0, max_value=3))  # mostly large
+    names = "abcd"[:n]
+    edges = [{names[i], names[draw(st.integers(0, i - 1))]} for i in range(1, n)]
+    if n > 2:
+        pairs = list(itertools.combinations(names, 2))
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return Hypergraph.make(edges, vertices=names)
+
+
+def minor_oracle(g, host, assignment):
+    """Is the assignment (pattern vertex of each sorted host vertex, or None)
+    a minor model?  Checked from the edges alone."""
+    hosts = sorted(host.vertices)
+    sets = {v: {x for x, a in zip(hosts, assignment) if a == v} for v in g.vertices}
+    for s in sets.values():
+        reach, grow = set(sorted(s)[:1]), True
+        while grow:
+            step = {x for e in host.edges if e & reach for x in e & s}
+            grow = not step <= reach
+            reach |= step
+        if not s or reach != s:
+            return False
+    return all(
+        any(f & sets[u] and f & sets[v] for f in host.edges)
+        for u, v in map(sorted, g.edges)
+    )
+
+
+class TestFindMinorOracle:
+    @given(small_hosts(), small_patterns(), st.data())
+    @settings(max_examples=150)
+    def test_presence_matches_every_assignment(self, host, g, data):
+        choices = [None, *sorted(g.vertices)]
+        n = len(host.vertices)
+        present = any(
+            minor_oracle(g, host, a) for a in itertools.product(choices, repeat=n)
+        )
+        mm = find_minor(g, host)
+        assert (mm is not None) == present
+        if mm is not None:
+            assert validate_minor_map(g, host, mm) == (True, None)
+        # validate_minor_map agrees with the oracle on an arbitrary assignment,
+        # and on one of single host vertices, where adjacency alone decides
+        hosts = sorted(host.vertices)
+        arbitrary = st.lists(st.sampled_from(choices), min_size=n, max_size=n)
+        singles = st.permutations(choices[1:] + [None] * n).map(lambda a: a[:n])
+        for a in (data.draw(arbitrary), data.draw(singles)):
+            sets = {v: {x for x, b in zip(hosts, a) if b == v} for v in g.vertices}
+            verdict = validate_minor_map(g, host, MinorMap.of(sets))[0]
+            assert verdict == minor_oracle(g, host, a)
+
+
+class TestPinnedSearch:
+    """Witnesses and attempt counts copied from the frozenset search."""
+
+    # a relabelled grid(3,4): sorted grid vertex i becomes RELABEL[i]
+    RELABEL = ["q10", "q6", "q2", "q1", "q4", "q11", "q0", "q7", "q5", "q8", "q3", "q9"]
+
+    def host(self):
+        m = dict(zip(sorted(grid(3, 4).vertices), self.RELABEL))
+        return Hypergraph.make([{m[v] for v in e} for e in grid(3, 4).edges])
+
+    def test_c4_witness_in_grid33(self):
+        mm = find_minor(grid(2, 2), grid(3, 3))
+        assert mm.as_dict() == {v: {v} for v in ["x1_1", "x1_2", "x2_1", "x2_2"]}
+
+    def test_grid_minor_of_relabelled_grid(self):
+        mm = find_grid_minor(self.host(), 3)
+        assert [(v, sorted(s)) for v, s in mm.branch_sets] == [
+            ("x1_1", ["q1"]),
+            ("x1_2", ["q2"]),
+            ("x1_3", ["q10", "q4", "q5", "q6"]),
+            ("x2_1", ["q7"]),
+            ("x2_2", ["q0"]),
+            ("x2_3", ["q11"]),
+            ("x3_1", ["q9"]),
+            ("x3_2", ["q3"]),
+            ("x3_3", ["q8"]),
+        ]
+
+    def test_exact_attempt_budget(self):
+        assert find_minor(grid(3, 3), self.host(), budget=36120) is not None
+        with pytest.raises(BudgetExceededError, match="36119 placement attempts"):
+            find_minor(grid(3, 3), self.host(), budget=36119)
 
 
 class TestJigsawExtraction:
