@@ -9,7 +9,11 @@ would only leave an isolated vertex behind.
 Every step strictly shrinks the vertex or the edge count and never grows
 either, which bounds sequence length and lets the exhaustive search prune by
 size.  Search states are deduplicated by canonical form, so a ``None`` result
-means proven absence, while running out of budget raises.
+means proven absence, while running out of budget raises.  Of the steps that
+a state's automorphisms (found by the canonical labelling) map onto one
+another, only the first is expanded: the others lead to isomorphic children,
+which the unpruned search would have found already seen, so the visited
+states, the budget used and the returned sequences are unchanged.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from .errors import (
     InvalidStepError,
 )
 from .hypergraph import (
+    DEFAULT_ISO_BUDGET,
     Hypergraph,
     IsoWitness,
+    _canonical,
     canonical_form,
     edge_key,
     isomorphic,
@@ -211,6 +217,38 @@ def _size_ge(h: Hypergraph, target: Hypergraph) -> bool:
     )
 
 
+def _orbit_steps(h: Hypergraph, gens) -> list[Step]:
+    """``valid_steps(h)`` keeping only the first step of each orbit of ``gens``.
+
+    An automorphism g of h maps the child of a step onto the child of the
+    step's image (vertex steps move by vertex, subedge deletions by edge
+    image), so the children of one orbit are isomorphic and a search that
+    deduplicates by certificate needs only the first of them.
+    """
+    steps = valid_steps(h)
+    if not gens:
+        return steps
+    orbit: dict = {}  # vertex or edge -> first member of its orbit
+    kept, met = [], set()
+    for step in steps:
+        x = step.edge if isinstance(step, DeleteSubedge) else step.vertex
+        if x not in orbit:
+            orbit[x] = x
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for g in gens:
+                    z = frozenset([g[v] for v in y]) if type(y) is frozenset else g[y]
+                    if z not in orbit:
+                        orbit[z] = x
+                        stack.append(z)
+        key = (type(step), orbit[x])
+        if key not in met:
+            met.add(key)
+            kept.append(step)
+    return kept
+
+
 def search_dilution(
     h_src: Hypergraph,
     h_target: Hypergraph,
@@ -218,37 +256,46 @@ def search_dilution(
 ) -> DilutionSequence | None:
     """Breadth-first search for a dilution sequence from source to target.
 
-    States are deduplicated by canonical form.  Returns None only after the
-    pruned state space is exhausted, i.e. absence is proven; hitting the
-    budget raises instead.  Deciding this question is NP-hard in general, so
-    the budget is the contract.
+    States are deduplicated by canonical form, and of the steps that a
+    state's automorphisms map onto one another only the first is expanded.
+    Returns None only after the pruned state space is exhausted, i.e. absence
+    is proven; hitting the budget raises instead.  Deciding this question is
+    NP-hard in general, so the budget is the contract.
     """
     target_cert = canonical_form(h_target)
-    if canonical_form(h_src) == target_cert:
+    src_cert, _, src_gens = _canonical(h_src, DEFAULT_ISO_BUDGET)
+    if src_cert == target_cert:
         return DilutionSequence.for_source(h_src, ())
     if not _size_ge(h_src, h_target):
         return None
-    seen = {canonical_form(h_src)}
-    queue: deque[tuple[Hypergraph, tuple[Step, ...]]] = deque([(h_src, ())])
+    seen = {src_cert}
+    # queue entries point into ``trail``, which holds (parent entry, step)
+    trail: list[tuple[int, Step]] = []
+    queue: deque[tuple[Hypergraph, tuple, int]] = deque([(h_src, src_gens, -1)])
     expanded = 0
     while queue:
-        state, path = queue.popleft()
+        state, gens, at = queue.popleft()
         expanded += 1
         if expanded > budget:
             raise BudgetExceededError(
                 f"dilution search exceeded {budget} expanded states"
             )
-        for step in valid_steps(state):
+        for step in _orbit_steps(state, gens):
             child = apply_step(state, step)
             if not _size_ge(child, h_target):
                 continue
-            cert = canonical_form(child)
+            cert, _, child_gens = _canonical(child, DEFAULT_ISO_BUDGET)
             if cert in seen:
                 continue
             if cert == target_cert:
-                return DilutionSequence.for_source(h_src, path + (step,))
+                steps = [step]
+                while at >= 0:
+                    at, prev = trail[at]
+                    steps.append(prev)
+                return DilutionSequence.for_source(h_src, reversed(steps))
             seen.add(cert)
-            queue.append((child, path + (step,)))
+            trail.append((at, step))
+            queue.append((child, child_gens, len(trail) - 1))
     return None
 
 
@@ -261,27 +308,28 @@ def reachable_dilutions(
     """Canonical forms of every hypergraph reachable by dilution from h_src.
 
     Exhaustive up to the size floor; used to answer many containment queries
-    against one source in a single sweep.
+    against one source in a single sweep.  Like ``search_dilution`` it
+    expands one step per orbit of each state's automorphisms.
     """
-    start = canonical_form(h_src)
+    start, _, start_gens = _canonical(h_src, DEFAULT_ISO_BUDGET)
     seen = {start}
-    queue = deque([h_src])
+    queue = deque([(h_src, start_gens)])
     expanded = 0
     while queue:
-        state = queue.popleft()
+        state, gens = queue.popleft()
         expanded += 1
         if expanded > budget:
             raise BudgetExceededError(
                 f"dilution reachability exceeded {budget} expanded states"
             )
-        for step in valid_steps(state):
+        for step in _orbit_steps(state, gens):
             child = apply_step(state, step)
             if len(child.vertices) < min_vertices or len(child.edges) < min_edges:
                 continue
-            cert = canonical_form(child)
+            cert, _, child_gens = _canonical(child, DEFAULT_ISO_BUDGET)
             if cert not in seen:
                 seen.add(cert)
-                queue.append(child)
+                queue.append((child, child_gens))
     return seen
 
 

@@ -14,8 +14,13 @@ instead of building their own.  The plain witness records ``Path``,
 search code can share them without importing each other.
 
 Isomorphism is decided through a canonical certificate computed by iterated
-partition refinement with individualization backtracking.  The certificate is
-also what search code uses to deduplicate states up to isomorphism.
+partition refinement with individualization backtracking, pruned by the
+automorphisms that tied leaves reveal (the individualisation/refinement
+scheme of nauty: McKay & Piperno, *Practical Graph Isomorphism II*, 2014).
+Pruning only skips subtrees that are images of explored ones, so the
+certificate and the labelling are those of the unpruned search.  The
+certificate is also what search code uses to deduplicate states up to
+isomorphism, and the automorphisms let it skip symmetric steps.
 """
 
 from __future__ import annotations
@@ -295,6 +300,25 @@ def canonical_form(h: Hypergraph, budget: int = DEFAULT_ISO_BUDGET):
 
 
 def _canonical(h: Hypergraph, budget: int):
+    """``(certificate, labelling, generators)`` of h, cached per hypergraph.
+
+    The labelling maps each vertex to its canonical position; the generators
+    are automorphisms of h (vertex-to-vertex dicts) found on the way.  The
+    search tree individualises one vertex of the first non-singleton cell per
+    level and refines; the certificate is the smallest edge set over the
+    leaves, the labelling that of the first leaf reaching it.
+
+    A leaf whose edge set ties the best or the first leaf yields an
+    automorphism.  Since refinement only ever splits cells in place, it maps
+    the other leaf's path onto this one's position by position: it fixes
+    their common prefix and sends the other branch below that node onto this
+    one, so the rest of this branch is abandoned.  Likewise a child in the
+    orbit of an explored sibling, under the automorphisms found so far that
+    fix the node's individualised vertices, is skipped.  Each pruned subtree
+    is the image of an earlier explored one, so neither the minimum nor the
+    first leaf reaching it can lie there: pruning changes no output, only the
+    number of refinement nodes counted against ``budget``.
+    """
     cached = _cert_cache.get(h)
     if cached is not None:
         return cached
@@ -304,7 +328,7 @@ def _canonical(h: Hypergraph, budget: int):
     edges = [frozenset(vidx[v] for v in e) for e in h.edges]
     if n == 0:
         cert = (0, tuple(sorted(tuple(sorted(e)) for e in edges)))
-        result = (cert, {})
+        result = (cert, {}, ())
         _cert_cache[h] = result
         return result
     inc: list[list[int]] = [[] for _ in range(n)]
@@ -313,11 +337,12 @@ def _canonical(h: Hypergraph, budget: int):
             inc[v].append(ei)
 
     def refine(cells):
-        while True:
+        while len(cells) < n:
             color = [0] * n
             for ci, cell in enumerate(cells):
                 for v in cell:
                     color[v] = ci
+            esig = [(len(e), tuple(sorted([color[w] for w in e]))) for e in edges]
             out, changed = [], False
             for cell in cells:
                 if len(cell) == 1:
@@ -325,12 +350,7 @@ def _canonical(h: Hypergraph, budget: int):
                     continue
                 groups: dict[tuple, list[int]] = {}
                 for v in cell:
-                    sig = tuple(
-                        sorted(
-                            (len(edges[ei]), tuple(sorted(color[w] for w in edges[ei])))
-                            for ei in inc[v]
-                        )
-                    )
+                    sig = tuple(sorted([esig[ei] for ei in inc[v]]))
                     groups.setdefault(sig, []).append(v)
                 if len(groups) == 1:
                     out.append(cell)
@@ -340,13 +360,20 @@ def _canonical(h: Hypergraph, budget: int):
                         out.append(sorted(groups[sig]))
             cells = out
             if not changed:
-                return cells
+                break
+        return cells
 
-    best: list = [None, None]
+    best = first = None  # (certificate, labelling, path) of those leaves
+    gens: list[list[int]] = []
     nodes = 0
 
-    def descend(cells):
-        nonlocal nodes
+    def descend(cells, fixed):
+        """Search below the node that individualised ``fixed``.
+
+        Returns None, or the depth of a node above whose current child has
+        turned out to be the image of an explored sibling.
+        """
+        nonlocal nodes, best, first
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
@@ -358,25 +385,72 @@ def _canonical(h: Hypergraph, budget: int):
             lab = [0] * n
             for pos, cell in enumerate(cells):
                 lab[cell[0]] = pos
-            cert = tuple(sorted(tuple(sorted(lab[v] for v in e)) for e in edges))
-            if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, lab
-            return
+            cert = tuple(sorted([tuple(sorted([lab[v] for v in e])) for e in edges]))
+            if first is None:
+                best = first = (cert, lab, fixed)
+                return None
+            if cert < best[0]:
+                best = (cert, lab, fixed)
+                return None
+            for other, other_lab, path in (best, first):
+                if cert == other:
+                    # the tie matches the two leaves position by position,
+                    # so it fixes their common prefix and maps this branch
+                    # below it onto the other leaf's, explored earlier
+                    at = [0] * n
+                    for v, pos in enumerate(other_lab):
+                        at[pos] = v
+                    gens.append([at[pos] for pos in lab])
+                    depth = 0
+                    while path[depth] == fixed[depth]:
+                        depth += 1
+                    return depth
+            return None
         cell = cells[split_at]
+        orbit = None  # union-find over the orbits of the prefix stabiliser
+        used = 0  # generators looked at so far
+        explored: list[int] = []
         for v in cell:
-            descend(
+            if explored:
+                for g in gens[used:]:
+                    if all(g[w] == w for w in fixed):
+                        if orbit is None:
+                            orbit = list(range(n))
+                        for a, b in enumerate(g):
+                            ra, rb = _find(orbit, a), _find(orbit, b)
+                            if ra != rb:
+                                orbit[max(ra, rb)] = min(ra, rb)
+                used = len(gens)
+                if orbit is not None:
+                    root = _find(orbit, v)
+                    if any(_find(orbit, u) == root for u in explored):
+                        continue
+            explored.append(v)
+            back = descend(
                 cells[:split_at]
                 + [[v], [w for w in cell if w != v]]
-                + cells[split_at + 1 :]
+                + cells[split_at + 1 :],
+                fixed + [v],
             )
+            if back is not None and back < len(fixed):
+                return back
+        return None
 
-    descend([list(range(n))])
+    descend([list(range(n))], [])
     cert = (n, best[0])
     labeling = {verts[i]: best[1][i] for i in range(n)}
-    result = (cert, labeling)
+    generators = tuple({verts[a]: verts[b] for a, b in enumerate(g)} for g in gens)
+    result = (cert, labeling, generators)
     if len(_cert_cache) < _CERT_CACHE_MAX:
         _cert_cache[h] = result
     return result
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _iso_invariant(h: Hypergraph) -> tuple:
@@ -401,8 +475,8 @@ def isomorphic(
     """
     if _iso_invariant(h1) != _iso_invariant(h2):
         return None
-    cert1, lab1 = _canonical(h1, budget)
-    cert2, lab2 = _canonical(h2, budget)
+    cert1, lab1, _ = _canonical(h1, budget)
+    cert2, lab2, _ = _canonical(h2, budget)
     if cert1 != cert2:
         return None
     by_label = {lab: v for v, lab in lab2.items()}

@@ -67,7 +67,6 @@ from .hypergraph import (
 )
 
 DEFAULT_MINOR_BUDGET = 10**6
-MINOR_COMPLETENESS_LIMIT = 14  # documented host size for practical completeness
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,9 @@ from hgdilute.dilution import (
     valid_steps,
     verify_dilution,
 )
-from hgdilute.errors import InvalidStepError
-from hgdilute.hypergraph import Hypergraph, canonical_form, is_connected, isomorphic
-from hgdilute.generators import fig3_sequence, grid, jigsaw, mesh
+from hgdilute.errors import BudgetExceededError, InvalidStepError
+from hgdilute.hypergraph import Hypergraph, canonical_form, dual, is_connected, isomorphic
+from hgdilute.generators import fig3_sequence, grid, jigsaw, mesh, random_hypergraph
 
 from conftest import sample_hypergraph
 
@@ -210,6 +211,116 @@ class TestSearch:
         h = H("ab", "bc", extra={"z"})
         certs = reachable_dilutions(h)
         assert canonical_form(reduce_hypergraph(h)[0]) in certs
+
+
+def unpruned_search(h_src, h_target):
+    """Breadth-first dilution search expanding every valid step of every state.
+
+    Returns the sequence found (or None) and the number of states expanded.
+    """
+    target_cert = canonical_form(h_target)
+    if canonical_form(h_src) == target_cert:
+        return DilutionSequence.for_source(h_src, ()), 0
+    size_ok = lambda g: (  # noqa: E731
+        len(g.vertices) >= len(h_target.vertices) and len(g.edges) >= len(h_target.edges)
+    )
+    if not size_ok(h_src):
+        return None, 0
+    seen = {canonical_form(h_src)}
+    queue = deque([(h_src, ())])
+    expanded = 0
+    while queue:
+        state, path = queue.popleft()
+        expanded += 1
+        for step in valid_steps(state):
+            child = apply_step(state, step)
+            if not size_ok(child):
+                continue
+            cert = canonical_form(child)
+            if cert in seen:
+                continue
+            if cert == target_cert:
+                return DilutionSequence.for_source(h_src, path + (step,)), expanded
+            seen.add(cert)
+            queue.append((child, path + (step,)))
+    return None, expanded
+
+
+def unpruned_reachable(h_src, min_vertices=0, min_edges=0):
+    """Certificates reachable from h_src, expanding every valid step."""
+    seen = {canonical_form(h_src)}
+    queue = deque([h_src])
+    while queue:
+        state = queue.popleft()
+        for step in valid_steps(state):
+            child = apply_step(state, step)
+            if len(child.vertices) < min_vertices or len(child.edges) < min_edges:
+                continue
+            cert = canonical_form(child)
+            if cert not in seen:
+                seen.add(cert)
+                queue.append(child)
+    return seen
+
+
+def assert_search_matches_oracle(src, target):
+    """Same sequence as the unpruned search, and the same least budget."""
+    expected, expanded = unpruned_search(src, target)
+    assert repr(search_dilution(src, target, budget=max(expanded, 1))) == repr(expected)
+    if expanded:
+        with pytest.raises(BudgetExceededError):
+            search_dilution(src, target, budget=expanded - 1)
+
+
+@st.composite
+def search_sources(draw):
+    """Connected samples, or up to 6 vertices with empty, singleton and isolated parts."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(seeds))
+        return sample_hypergraph(rng, max_vertices=6, max_edges=5, max_rank=4)
+    verts = sorted(draw(st.sets(st.sampled_from("abcdef"))))
+    edge = st.sets(st.sampled_from(verts)) if verts else st.just(set())
+    return Hypergraph.make(draw(st.lists(edge, max_size=5)), verts)
+
+
+class TestOrbitPruning:
+    """The orbit-pruned searches against the unpruned ones kept here."""
+
+    @given(search_sources(), st.integers(0, 3), st.integers(0, 3))
+    def test_reachable_matches_unpruned(self, h, min_vertices, min_edges):
+        assert reachable_dilutions(h, 10**5, min_vertices, min_edges) == unpruned_reachable(
+            h, min_vertices, min_edges
+        )
+
+    @settings(max_examples=80)
+    @given(search_sources(), seeds, st.booleans())
+    def test_search_matches_unpruned(self, h, seed, related):
+        rng = random.Random(seed)
+        if related:
+            target = random_valid_sequence(h, rng, max_steps=5)[1]
+        else:
+            target = sample_hypergraph(rng, max_vertices=3, max_edges=3)
+        assert_search_matches_oracle(h, target)
+
+    @pytest.mark.parametrize("src", [mesh(3, 3), mesh(3, 4)], ids=["mesh33", "mesh34"])
+    def test_mesh_searches_match_unpruned(self, src):
+        targets = [
+            jigsaw(2, 2),
+            jigsaw(2, 3),
+            dual(mesh(2, 3)),
+            H("ab", "bc", "ca"),
+            H("abc", "cde", "aef"),
+            H("abc", "cd", "de", "ea"),
+            random_hypergraph(5, 4, 2, 3, seed=3),
+        ]
+        for target in targets:
+            assert_search_matches_oracle(src, target)
+
+    def test_mesh_reachable_matches_unpruned(self):
+        assert reachable_dilutions(mesh(3, 3)) == unpruned_reachable(mesh(3, 3))
+        assert reachable_dilutions(mesh(3, 4), min_vertices=5, min_edges=4) == (
+            unpruned_reachable(mesh(3, 4), 5, 4)
+        )
 
 
 class TestLabels:

@@ -1,24 +1,27 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdilute.errors import InvalidInputError
+from hgdilute.errors import BudgetExceededError, InvalidInputError
 from hgdilute.hypergraph import (
     Hypergraph,
+    _canonical,
     _shortest_path,
     canonical_form,
     components,
     dual,
     dual_with_map,
+    edge_key,
     find_path,
     is_connected,
     isomorphic,
     primal_graph,
 )
 from hgdilute.dilution import reduce_hypergraph
-from hgdilute.generators import grid, jigsaw
+from hgdilute.generators import grid, jigsaw, mesh
 
 from conftest import sample_hypergraph
 
@@ -39,6 +42,83 @@ def raw_hypergraphs(draw):
     verts = sorted(draw(st.sets(st.sampled_from("abcdefgh"))))
     edge = st.sets(st.sampled_from(verts)) if verts else st.just(set())
     return Hypergraph.make(draw(st.lists(edge, max_size=6)), verts)
+
+
+@st.composite
+def tiny_hypergraphs(draw):
+    """Up to 7 vertices, isolated ones allowed; empty and singleton edges allowed."""
+    verts = sorted(draw(st.sets(st.sampled_from("abcdefg"))))
+    edge = st.sets(st.sampled_from(verts)) if verts else st.just(set())
+    return Hypergraph.make(draw(st.lists(edge, max_size=7)), verts)
+
+
+def relabel(h, order, prefix):
+    """Copy of h whose i-th sorted vertex is renamed prefix + order[i]."""
+    m = {v: f"{prefix}{k}" for v, k in zip(sorted(h.vertices), order)}
+    return Hypergraph(
+        frozenset(m.values()), frozenset(frozenset(m[v] for v in e) for e in h.edges)
+    )
+
+
+def brute_force_certificate(h):
+    """Smallest relabelled edge set over every vertex permutation."""
+    verts = sorted(h.vertices)
+    return len(verts), min(
+        tuple(sorted(tuple(sorted(lab[v] for v in e)) for e in h.edges))
+        for lab in (dict(zip(verts, p)) for p in itertools.permutations(range(len(verts))))
+    )
+
+
+def unpruned_canonical(h):
+    """Certificate and labelling from the individualisation/refinement tree
+    searched in full: the first leaf with the smallest edge set wins."""
+    verts = sorted(h.vertices)
+    n = len(verts)
+    edges = [frozenset(verts.index(v) for v in e) for e in h.edges]
+    inc = [[ei for ei, e in enumerate(edges) if v in e] for v in range(n)]
+
+    def refine(cells):
+        while True:
+            color = {v: ci for ci, cell in enumerate(cells) for v in cell}
+            out = []
+            for cell in cells:
+                groups = {}
+                for v in cell:
+                    sig = tuple(
+                        sorted((len(edges[ei]), tuple(sorted(color[w] for w in edges[ei]))) for ei in inc[v])
+                    )
+                    groups.setdefault(sig, []).append(v)
+                out += [sorted(groups[sig]) for sig in sorted(groups)]
+            if len(out) == len(cells):
+                return cells
+            cells = out
+
+    best = []
+
+    def descend(cells):
+        cells = refine(cells)
+        split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if split_at is None:
+            lab = {cell[0]: pos for pos, cell in enumerate(cells)}
+            cert = tuple(sorted(tuple(sorted(lab[v] for v in e)) for e in edges))
+            if not best or cert < best[0]:
+                best[:] = [cert, lab]
+            return
+        cell = cells[split_at]
+        for v in cell:
+            descend(cells[:split_at] + [[v], [w for w in cell if w != v]] + cells[split_at + 1 :])
+
+    if n == 0:
+        return (0, tuple(sorted(tuple(sorted(e)) for e in edges))), {}
+    descend([list(range(n))])
+    return (n, best[0]), {verts[v]: pos for v, pos in best[1].items()}
+
+
+def is_automorphism(g, h):
+    return (
+        set(g) == set(h.vertices) == set(g.values())
+        and frozenset(frozenset(g[v] for v in e) for e in h.edges) == h.edges
+    )
 
 
 class TestBasics:
@@ -212,3 +292,127 @@ class TestIsomorphism:
         )
         w = isomorphic(h, shuffled)
         assert w is not None and w.check(h, shuffled)
+
+
+class TestCanonicalLabelling:
+    @settings(max_examples=150)
+    @given(tiny_hypergraphs(), st.data())
+    def test_certificates_agree_with_brute_force(self, h, data):
+        kind = data.draw(st.sampled_from(["copy", "toggle", "other"]))
+        g = h
+        if kind == "toggle" and h.vertices:
+            e = data.draw(st.sampled_from(sorted(h.edges, key=edge_key) + [frozenset()]))
+            v = data.draw(st.sampled_from(sorted(h.vertices)))
+            g = Hypergraph(h.vertices, (h.edges - {e}) | {e ^ {v}})
+        elif kind == "other":
+            g = data.draw(tiny_hypergraphs())
+        g = relabel(g, data.draw(st.permutations(range(len(g.vertices)))), "w")
+        same = canonical_form(h) == canonical_form(g)
+        assert same == (brute_force_certificate(h) == brute_force_certificate(g))
+        assert (isomorphic(h, g) is not None) == same
+        for x in (h, g):
+            cert, lab, gens = _canonical(x, 10**6)
+            relabelled = tuple(sorted(tuple(sorted(lab[v] for v in e)) for e in x.edges))
+            assert cert == (len(x.vertices), relabelled)
+            assert all(is_automorphism(gen, x) for gen in gens)
+
+    @given(tiny_hypergraphs(), st.data())
+    def test_labelling_matches_unpruned_search(self, h, data):
+        h = relabel(h, data.draw(st.permutations(range(len(h.vertices)))), "u")
+        cert, lab, _ = _canonical(h, 10**6)
+        assert (cert, lab) == unpruned_canonical(h)
+
+    def test_symmetric_labellings_match_unpruned_search(self):
+        rnd = random.Random(7)
+        c3_c4 = H("ab", "bc", "ca", "de", "ef", "fg", "gd")
+        for base in (c3_c4, grid(2, 3), jigsaw(2, 2), mesh(2, 3), H("abc", "cde", "eaf")):
+            for _ in range(5):
+                order = list(range(len(base.vertices)))
+                rnd.shuffle(order)
+                h = relabel(base, order, "s")
+                cert, lab, _ = _canonical(h, 10**6)
+                assert (cert, lab) == unpruned_canonical(h)
+
+    def test_pinned_refinement_budget(self):
+        # a Fano plane beside an 8-vertex 3-uniform circulant: refinement
+        # cannot tell their vertices apart, and 44 refinement nodes are
+        # exactly enough; certificate and labelling are the unpruned search's
+        h = H(
+            *(
+                e.split()
+                for e in (
+                    "a0 a3 a5", "a0 b1 b3", "a0 b2 b5", "a1 a2 a6", "a1 a7 b6",
+                    "a1 b0 b4", "a2 a4 a7", "a2 b4 b6", "a3 b1 b2", "a3 b3 b5",
+                    "a4 a6 b4", "a4 b0 b6", "a5 b1 b5", "a5 b2 b3", "a6 a7 b0",
+                )
+            )
+        )
+        with pytest.raises(BudgetExceededError):
+            canonical_form(h, budget=43)
+        cert, lab, _ = _canonical(h, 44)
+        assert cert == (
+            15,
+            (
+                (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
+                (2, 4, 5), (7, 8, 9), (7, 10, 12), (7, 11, 13), (8, 10, 11),
+                (8, 12, 14), (9, 11, 14), (9, 12, 13), (10, 13, 14),
+            ),
+        )
+        assert sorted(lab.items()) == [
+            ("a0", 0), ("a1", 7), ("a2", 8), ("a3", 1), ("a4", 14), ("a5", 2),
+            ("a6", 9), ("a7", 12), ("b0", 13), ("b1", 3), ("b2", 5), ("b3", 4),
+            ("b4", 11), ("b5", 6), ("b6", 10),
+        ]
+
+    def test_generators_of_symmetric_hosts_are_automorphisms(self):
+        for h in (mesh(4, 4), dual(mesh(4, 5)), jigsaw(3, 4), grid(4, 4)):
+            _, _, gens = _canonical(h, 10**6)
+            assert gens and all(is_automorphism(g, h) for g in gens)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_relabelled_meshes_within_small_budget(self, n):
+        rnd = random.Random(n)
+        for base in (mesh(n, n), dual(mesh(n, n))):
+            copies = []
+            for prefix in ("ma", "mb"):
+                order = list(range(len(base.vertices)))
+                rnd.shuffle(order)
+                copies.append(relabel(base, order, f"{prefix}{n}_"))
+            a, b = copies
+            assert canonical_form(a, budget=10**4) == canonical_form(b, budget=10**4)
+            assert canonical_form(a, budget=10**4) == canonical_form(base)
+            w = isomorphic(a, b, budget=10**4)
+            assert w is not None and w.check(a, b)
+
+    @pytest.mark.parametrize("lengths", [(3, 4), (3, 3, 6), (4, 4, 8), (3, 3, 3, 4, 5)])
+    def test_relabelled_cycle_unions(self, lengths):
+        # every vertex looks alike to refinement, so the tree must branch
+        edges, start = [], 0
+        for k in lengths:
+            edges += [(f"x{start + i}", f"x{start + (i + 1) % k}") for i in range(k)]
+            start += k
+        base = H(*edges)
+        rnd = random.Random(sum(lengths))
+        for _ in range(8):
+            order = list(range(len(base.vertices)))
+            rnd.shuffle(order)
+            h = relabel(base, order, "cy")
+            assert canonical_form(h, budget=10**4) == canonical_form(base)
+
+    def test_pinned_labellings(self):
+        cert, lab, _ = _canonical(jigsaw(2, 2), 10**6)
+        assert cert == (4, ((0, 1), (0, 2), (1, 3), (2, 3)))
+        assert sorted(lab.items()) == [("h1_1", 0), ("h2_1", 3), ("v1_1", 1), ("v1_2", 2)]
+        cert, lab, _ = _canonical(jigsaw(3, 3), 10**6)
+        assert cert == (
+            12,
+            (
+                (0, 1), (0, 2, 8), (1, 4, 9), (2, 3), (3, 6, 10), (4, 5),
+                (5, 7, 11), (6, 7), (8, 9, 10, 11),
+            ),
+        )
+        assert sorted(lab.items()) == [
+            ("h1_1", 0), ("h1_2", 2), ("h2_1", 9), ("h2_2", 10), ("h3_1", 5),
+            ("h3_2", 7), ("v1_1", 1), ("v1_2", 8), ("v1_3", 3), ("v2_1", 4),
+            ("v2_2", 11), ("v2_3", 6),
+        ]
