@@ -27,7 +27,6 @@ from .cq import (
     semantic_ghw,
 )
 from .decomposition import (
-    DEFAULT_GHW_EDGE_LIMIT,
     DEFAULT_GHW_VERTEX_LIMIT,
     DEFAULT_TW_VERTEX_LIMIT,
     exact_ghw,
@@ -210,9 +209,7 @@ def _cmd_width(args) -> int:
                 args.witness_out,
             )
     else:
-        report, witness = exact_ghw(
-            h, max_edges=args.max_edges, max_vertices=args.max_vertices
-        )
+        report, witness = exact_ghw(h, max_vertices=args.max_vertices)
         print(report.width)
         if args.witness_out:
             named = dict(names)
@@ -323,7 +320,7 @@ def _cmd_core(args) -> int:
 
 def _cmd_sghw(args) -> int:
     q = formats.parse_query(_read(args.query))
-    report = semantic_ghw(q, max_vars=args.max_vars, max_edges=args.max_edges)
+    report = semantic_ghw(q, max_vars=args.max_vars)
     print(report.width)
     return EXIT_OK
 
@@ -423,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hypergraph")
     p.add_argument("--witness-out")
     p.add_argument("--max-vertices", type=int, default=None)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_GHW_EDGE_LIMIT)
     p.set_defaults(func=_cmd_width)
 
     p = sub.add_parser(
@@ -481,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sghw", help="cover width of the query core")
     p.add_argument("query")
     p.add_argument("--max-vars", type=int, default=DEFAULT_CORE_VAR_LIMIT)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_GHW_EDGE_LIMIT)
     p.set_defaults(func=_cmd_sghw)
 
     p = sub.add_parser("suite", help="run the acceptance batteries")

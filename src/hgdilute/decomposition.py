@@ -20,15 +20,18 @@ the primal adjacency is one mask per vertex, and the table over all 2^n
 eliminated sets is a flat list filled from the full set down to the empty
 one, with no recursion.  An elimination bag is a flood through the
 eliminated set whose every step is three table lookups.  The cover number of
-a bag mask is memoised per mask; the public ``min_edge_cover`` runs only on
-the n bags of the returned witness.  Ties go to the smallest vertex name, so
+a bag mask is memoised per mask, and each witness cover is read off that
+memo: the edges are walked in ``edge_key`` order and an edge is kept when it
+meets what is left of the bag and lowers its cover number by one, which
+yields the lexicographically-first minimum cover.  ``min_edge_cover`` is the
+same readout on a memo of its own.  Ties go to the smallest vertex name, so
 the witness is a function of the input alone.  Time and memory grow as
-2^n, hence the hard input limits.
+2^n in the covered vertices, hence the hard input limits; the number of
+edges needs no limit of its own.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .dilution import merge_on
@@ -36,7 +39,6 @@ from .errors import ConstructionError, InvalidInputError, LimitExceededError
 from .hypergraph import Hypergraph, dual_with_map, edge_key
 
 DEFAULT_TW_VERTEX_LIMIT = 16
-DEFAULT_GHW_EDGE_LIMIT = 10
 DEFAULT_GHW_VERTEX_LIMIT = 18
 
 
@@ -307,50 +309,74 @@ def exact_treewidth(
     return report, td
 
 
-def min_edge_cover(h: Hypergraph, bag: frozenset) -> frozenset[frozenset[str]]:
-    """Lexicographically-first minimum set of edges whose union contains bag."""
-    if not bag:
-        return frozenset()
-    candidates = sorted((e for e in h.edges if e & bag), key=edge_key)
-    for k in range(1, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, k):
-            if bag <= frozenset().union(*combo):
-                return frozenset(combo)
-    raise InvalidInputError(f"bag {sorted(bag)} has vertices in no edge")
-
-
-def _cover_number(edges: list[int], n: int):
-    """Memoised exact edge-cover number of a vertex mask.
+class _CoverNumbers(dict):
+    """Memoised exact edge-cover numbers of vertex masks: ``cover[m]``.
 
     The lowest vertex of a mask lies in some edge of every cover, so
-    cover(m) = 1 + min over the edges e at that vertex of cover(m & ~e).
+    cover[m] = 1 + min over the edges e at that vertex of cover[m & ~e].
     Each level of the recursion uses a new edge, so it is at most as deep as
-    there are edges.
+    there are edges.  Unlike a recursive closure, which refers to itself,
+    the memo holds no reference cycle and is freed as soon as it is dropped.
     """
-    at = [[e for e in edges if e >> i & 1] for i in range(n)]
-    memo = {0: 0}
 
-    def cover(m: int) -> int:
-        got = memo.get(m)
-        if got is None:
-            low = (m & -m).bit_length() - 1
-            got = 1 + min(cover(m & ~e) for e in at[low])
-            memo[m] = got
+    def __init__(self, edges: list[int], n: int):
+        super().__init__({0: 0})
+        self.at = [[e for e in edges if e >> i & 1] for i in range(n)]
+
+    def __missing__(self, m: int) -> int:
+        low = (m & -m).bit_length() - 1
+        got = self[m] = 1 + min(self[m & ~e] for e in self.at[low])
         return got
 
-    return cover
+
+def _read_cover(edges: list[int], cover: _CoverNumbers, m: int) -> list[int]:
+    """Positions in ``edges`` of the lexicographically-first minimum cover of m.
+
+    The least position in that cover is the least one whose edge lies in some
+    minimum cover of m, that is, meets m and leaves a rest whose cover number
+    is one less.  The rest's lexicographically-first minimum cover is the
+    remainder of m's, and every position in it comes later, so one forward
+    walk over the edges reads the whole cover off the memo.
+    """
+    need = cover[m]
+    picked = []
+    for i, e in enumerate(edges):
+        if e & m and cover[m & ~e] == need - 1:
+            picked.append(i)
+            m &= ~e
+            need -= 1
+            if not m:
+                break
+    return picked
+
+
+def min_edge_cover(h: Hypergraph, bag: frozenset) -> frozenset[frozenset[str]]:
+    """Lexicographically-first minimum set of edges whose union contains bag.
+
+    Edges compare by ``edge_key``; the cover is read off a cover-number memo
+    over the bag's vertices, as in ``exact_ghw``.
+    """
+    if not bag:
+        return frozenset()
+    edges = sorted(h.edges, key=edge_key)
+    if not bag <= frozenset().union(*edges):
+        raise InvalidInputError(f"bag {sorted(bag)} has vertices in no edge")
+    index = {v: i for i, v in enumerate(sorted(bag))}
+    masks = [_mask(index, e & bag) for e in edges]
+    cover = _CoverNumbers(masks, len(index))
+    return frozenset(
+        edges[i] for i in _read_cover(masks, cover, (1 << len(index)) - 1)
+    )
 
 
 def exact_ghw(
-    h: Hypergraph,
-    max_edges: int = DEFAULT_GHW_EDGE_LIMIT,
-    max_vertices: int = DEFAULT_GHW_VERTEX_LIMIT,
+    h: Hypergraph, max_vertices: int = DEFAULT_GHW_VERTEX_LIMIT
 ) -> tuple[WidthReport, GHDecomposition]:
-    """Exact cover width with a validating decomposition witness."""
-    if len(h.edges) > max_edges:
-        raise LimitExceededError(
-            f"{len(h.edges)} edges exceeds cover-width limit {max_edges}"
-        )
+    """Exact cover width with a validating decomposition witness.
+
+    The cost grows with the covered vertices alone, so only their number is
+    limited; each bag's cover is the one ``min_edge_cover`` would return.
+    """
     covered = sorted({v for e in h.edges for v in e})
     if len(covered) > max_vertices:
         raise LimitExceededError(
@@ -362,10 +388,17 @@ def exact_ghw(
         return WidthReport("ghw", 0, "t1"), ghd
 
     index = {v: i for i, v in enumerate(covered)}
-    cover = _cover_number([_mask(index, e) for e in h.edges], len(covered))
-    width, order, bags = _eliminate(_adjacency_masks(index, h.edges), cover)
+    edges = sorted(h.edges, key=edge_key)
+    masks = [_mask(index, e) for e in edges]
+    cover = _CoverNumbers(masks, len(covered))
+    width, order, bags = _eliminate(
+        _adjacency_masks(index, edges), cover.__getitem__
+    )
     td = _td_from_order(covered, order, bags)
-    covers = tuple((n, min_edge_cover(h, b)) for n, b in td.bags)
+    covers = tuple(
+        (name, frozenset(edges[i] for i in _read_cover(masks, cover, bag)))
+        for name, bag in zip(td.nodes, bags)
+    )
     ghd = GHDecomposition(td, covers)
     ok, why = validate_ghd(h, ghd)
     if not ok:  # pragma: no cover - construction invariant

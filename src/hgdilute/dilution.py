@@ -211,12 +211,6 @@ def reduce_hypergraph(h: Hypergraph) -> tuple[Hypergraph, DilutionSequence]:
 # -- exhaustive decision -----------------------------------------------------
 
 
-def _size_ge(h: Hypergraph, target: Hypergraph) -> bool:
-    return len(h.vertices) >= len(target.vertices) and len(h.edges) >= len(
-        target.edges
-    )
-
-
 def _orbit_steps(h: Hypergraph, gens) -> list[Step]:
     """``valid_steps(h)`` keeping only the first step of each orbit of ``gens``.
 
@@ -249,6 +243,45 @@ def _orbit_steps(h: Hypergraph, gens) -> list[Step]:
     return kept
 
 
+def _new_states(
+    h: Hypergraph,
+    cert: tuple,
+    gens,
+    budget: int,
+    what: str,
+    min_vertices: int,
+    min_edges: int,
+):
+    """Breadth-first sweep of the states reachable from h by dilution.
+
+    Yields ``(cert, parent, step)`` for each state not seen before, in
+    discovery order; ``parent`` is the position of the parent among the
+    states yielded so far, or -1 for h itself, whose certificate is ``cert``
+    and automorphism generators ``gens``.  Children below the size floor are
+    dropped, one step per orbit of each state's generators is expanded, and
+    expanding more than ``budget`` states raises, naming the sweep ``what``.
+    """
+    seen = {cert}
+    queue: deque[tuple[Hypergraph, tuple, int]] = deque([(h, gens, -1)])
+    expanded = found = 0
+    while queue:
+        state, gens, at = queue.popleft()
+        expanded += 1
+        if expanded > budget:
+            raise BudgetExceededError(f"{what} exceeded {budget} expanded states")
+        for step in _orbit_steps(state, gens):
+            child = apply_step(state, step)
+            if len(child.vertices) < min_vertices or len(child.edges) < min_edges:
+                continue
+            cert, _, child_gens = _canonical(child, DEFAULT_ISO_BUDGET)
+            if cert in seen:
+                continue
+            seen.add(cert)
+            queue.append((child, child_gens, found))
+            found += 1
+            yield cert, at, step
+
+
 def search_dilution(
     h_src: Hypergraph,
     h_target: Hypergraph,
@@ -266,36 +299,22 @@ def search_dilution(
     src_cert, _, src_gens = _canonical(h_src, DEFAULT_ISO_BUDGET)
     if src_cert == target_cert:
         return DilutionSequence.for_source(h_src, ())
-    if not _size_ge(h_src, h_target):
+    min_vertices, min_edges = len(h_target.vertices), len(h_target.edges)
+    if len(h_src.vertices) < min_vertices or len(h_src.edges) < min_edges:
         return None
-    seen = {src_cert}
-    # queue entries point into ``trail``, which holds (parent entry, step)
+    # trail[i] is (parent position, step) of the i-th state found
     trail: list[tuple[int, Step]] = []
-    queue: deque[tuple[Hypergraph, tuple, int]] = deque([(h_src, src_gens, -1)])
-    expanded = 0
-    while queue:
-        state, gens, at = queue.popleft()
-        expanded += 1
-        if expanded > budget:
-            raise BudgetExceededError(
-                f"dilution search exceeded {budget} expanded states"
-            )
-        for step in _orbit_steps(state, gens):
-            child = apply_step(state, step)
-            if not _size_ge(child, h_target):
-                continue
-            cert, _, child_gens = _canonical(child, DEFAULT_ISO_BUDGET)
-            if cert in seen:
-                continue
-            if cert == target_cert:
-                steps = [step]
-                while at >= 0:
-                    at, prev = trail[at]
-                    steps.append(prev)
-                return DilutionSequence.for_source(h_src, reversed(steps))
-            seen.add(cert)
-            trail.append((at, step))
-            queue.append((child, child_gens, len(trail) - 1))
+    states = _new_states(
+        h_src, src_cert, src_gens, budget, "dilution search", min_vertices, min_edges
+    )
+    for cert, at, step in states:
+        if cert == target_cert:
+            steps = [step]
+            while at >= 0:
+                at, prev = trail[at]
+                steps.append(prev)
+            return DilutionSequence.for_source(h_src, reversed(steps))
+        trail.append((at, step))
     return None
 
 
@@ -312,25 +331,16 @@ def reachable_dilutions(
     expands one step per orbit of each state's automorphisms.
     """
     start, _, start_gens = _canonical(h_src, DEFAULT_ISO_BUDGET)
-    seen = {start}
-    queue = deque([(h_src, start_gens)])
-    expanded = 0
-    while queue:
-        state, gens = queue.popleft()
-        expanded += 1
-        if expanded > budget:
-            raise BudgetExceededError(
-                f"dilution reachability exceeded {budget} expanded states"
-            )
-        for step in _orbit_steps(state, gens):
-            child = apply_step(state, step)
-            if len(child.vertices) < min_vertices or len(child.edges) < min_edges:
-                continue
-            cert, _, child_gens = _canonical(child, DEFAULT_ISO_BUDGET)
-            if cert not in seen:
-                seen.add(cert)
-                queue.append((child, child_gens))
-    return seen
+    states = _new_states(
+        h_src,
+        start,
+        start_gens,
+        budget,
+        "dilution reachability",
+        min_vertices,
+        min_edges,
+    )
+    return {start, *(cert for cert, _, _ in states)}
 
 
 # -- label tracking ----------------------------------------------------------

@@ -56,6 +56,7 @@ from .hypergraph import (
     Hypergraph,
     Path,
     PreJigsawWitness,
+    _find,
     _shortest_path,
     components,
     dual,
@@ -282,28 +283,21 @@ def _region_merge_spine(
     edges = sorted((e for e in region if e), key=edge_key)
     if len(edges) <= 1:
         return []
-    parent = {e: e for e in edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(len(edges)))  # union-find over edge positions
     spine: list[str] = []
     for w in sorted({v for e in edges for v in e}):
         if w in protected:
             continue
-        holders = [e for e in edges if w in e]
+        holders = [i for i, e in enumerate(edges) if w in e]
         if len(holders) != 2:
             continue
         if len([e for e in h.edges if w in e]) != 2:
             continue
-        a, b = find(holders[0]), find(holders[1])
+        a, b = _find(parent, holders[0]), _find(parent, holders[1])
         if a != b:
             parent[a] = b
             spine.append(w)
-    if len({find(e) for e in edges}) != 1:
+    if len({_find(parent, i) for i in range(len(edges))}) != 1:
         raise ConstructionError(
             "edge region is not linked by interior degree-2 vertices"
         )

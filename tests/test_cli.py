@@ -141,6 +141,21 @@ class TestWidthCommands:
         assert capsys.readouterr().out.splitlines()[-1] == "2"
         assert "cover" in wit.read_text()
 
+    def test_width_ghw_jigsaw34(self, tmp_path, capsys):
+        # 12 edges and 17 covered vertices, within the covered-vertex limit
+        src = tmp_path / "j.hg"
+        assert main(["gen", "--family", "jigsaw", "-n", "3", "-m", "4", "-o", str(src)]) == 0
+        assert main(["width", "--kind", "ghw", str(src)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "3"
+
+    @pytest.mark.parametrize("command", ["width", "sghw"])
+    def test_no_edge_limit_option(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--max-vertices" in out or "--max-vars" in out
+        assert "--max-edges" not in out
+
     def test_width_tw_limit_exit_2(self, tmp_path):
         # grid(4,5) has 20 vertices, above the default treewidth limit of 16
         src = tmp_path / "g.hg"

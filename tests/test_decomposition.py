@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgdilute import decomposition
@@ -187,18 +187,32 @@ class TestExactTreewidth:
         assert ok, why
 
 
+def brute_min_cover(h, bag):
+    """Lexicographically-first minimum edge cover of bag, by trying every
+    combination of the edges meeting it in ``edge_key`` order, fewest first."""
+    if not bag:
+        return frozenset()
+    candidates = sorted((e for e in h.edges if e & bag), key=edge_key)
+    for k in range(1, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, k):
+            if bag <= frozenset().union(*combo):
+                return frozenset(combo)
+    raise InvalidInputError(f"bag {sorted(bag)} has vertices in no edge")
+
+
 def brute_force_ghw(h):
     """Minimum over all elimination orderings of the max bag cover number.
 
     Independent path to the same width: for monotone bag costs the optimum
     over orderings equals the optimum over all tree decompositions, so this
-    also certifies that no decomposition of smaller width exists.
+    also certifies that no decomposition of smaller width exists.  Bag covers
+    come from the combination search, not from the cover-number memo.
     """
     covered = frozenset().union(*h.edges)
     if not covered:
         return 0
     return min_max_over_permutations(
-        covered, h.edges, lambda bag: len(min_edge_cover(h, bag))
+        covered, h.edges, lambda bag: len(brute_min_cover(h, bag))
     )
 
 
@@ -216,9 +230,16 @@ class TestExactGhw:
         rep, ghd = exact_ghw(Hypergraph(frozenset("ab"), frozenset()))
         assert rep.width == 0
 
-    def test_edge_limit(self):
+    def test_vertex_limit(self):
         with pytest.raises(LimitExceededError):
-            exact_ghw(jigsaw(3, 4))  # 12 edges
+            exact_ghw(jigsaw(3, 4), max_vertices=16)  # 17 covered vertices
+
+    def test_jigsaw34(self):
+        # 12 edges: only the covered vertices limit the oracle
+        rep, ghd = exact_ghw(jigsaw(3, 4))
+        assert rep.width == 3
+        assert validate_ghd(jigsaw(3, 4), ghd) == (True, None)
+        assert ghd_width(ghd).width == 3
 
     @given(seeds)
     @settings(max_examples=12)
@@ -247,6 +268,34 @@ def small_hypergraphs(draw):
         )
     )
     return Hypergraph(frozenset(names), frozenset(frozenset(e) for e in edges))
+
+
+@st.composite
+def hypergraphs_with_bags(draw):
+    h = draw(small_hypergraphs())
+    # "w" is in no hypergraph; isolated vertices are in no edge either
+    bag = draw(st.sets(st.sampled_from(sorted(h.vertices) + ["w"])))
+    return h, frozenset(bag)
+
+
+class TestMinEdgeCover:
+    @given(hypergraphs_with_bags())
+    @example((H("ab"), frozenset()))
+    @example((Hypergraph(frozenset(), frozenset()), frozenset()))
+    @example((H("ab", extra="c"), frozenset("ac")))
+    @example((H("", "a", "ab"), frozenset("a")))
+    @example((H("ab", "bc", "cd", "ad"), frozenset("abcd")))  # two minimum covers
+    @settings(max_examples=200)
+    def test_matches_combination_search(self, case):
+        h, bag = case
+        try:
+            want = brute_min_cover(h, bag)
+        except InvalidInputError as err:
+            with pytest.raises(InvalidInputError) as got:
+                min_edge_cover(h, bag)
+            assert str(got.value) == str(err)
+        else:
+            assert min_edge_cover(h, bag) == want
 
 
 class TestSubsetDP:
