@@ -11,8 +11,8 @@ import os
 import sys
 
 from hgdilute.dilution import MergeOn, apply_sequence_states
-from hgdilute.formats import write_hypergraph, write_sequence
-from hgdilute.generators import fig3_sequence, jigsaw, mesh
+from hgdilute.formats import fig3_sequence, write_hypergraph, write_sequence
+from hgdilute.generators import jigsaw, mesh
 from hgdilute.hypergraph import isomorphic
 
 

@@ -67,7 +67,6 @@ from .minors import (
     validate_prejigsaw,
 )
 from .generators import (
-    fig3_sequence,
     grid,
     jigsaw,
     mesh,

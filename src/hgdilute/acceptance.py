@@ -48,8 +48,8 @@ from .dilution import (
     verify_dilution,
 )
 from .errors import InvalidInputError
+from .formats import fig3_sequence
 from .generators import (
-    fig3_sequence,
     grid,
     jigsaw,
     mesh,

@@ -33,6 +33,7 @@ from .decomposition import (
     exact_treewidth,
 )
 from .dilution import (
+    DEFAULT_SEARCH_BUDGET,
     apply_sequence,
     reduce_hypergraph,
     search_dilution,
@@ -58,8 +59,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-DEFAULT_BUDGET = 10**5
-
 
 def _default_budget() -> int:
     env = os.environ.get("HGDILUTE_BUDGET")
@@ -68,7 +67,7 @@ def _default_budget() -> int:
             return int(env)
         except ValueError:
             raise InvalidInputError(f"HGDILUTE_BUDGET={env!r} is not an integer")
-    return DEFAULT_BUDGET
+    return DEFAULT_SEARCH_BUDGET
 
 
 def _read(path: str) -> str:
@@ -137,23 +136,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_dual(args) -> int:
     h, names = _load_hypergraph(args.hypergraph)
-    by_edge = {}
-    for n, e in names.items():
-        by_edge.setdefault(e, n)
     d, edge_to_name = dual_with_map(h)
-    renamed = {}
-    for e, generated in edge_to_name.items():
-        renamed[generated] = by_edge.get(e, generated)
-    # dual vertices take the input file's edge names where available
-    try:
-        d2 = Hypergraph(
-            frozenset(renamed[v] for v in d.vertices),
-            frozenset(frozenset(renamed[v] for v in e) for e in d.edges),
-        )
-        out = formats.write_hypergraph(d2, fmt=args.format)
-    except (HgError, KeyError):
-        out = formats.write_hypergraph(d, fmt=args.format)
-    _emit(out, args.output)
+    # dual vertices take the input file's edge names
+    renamed = {
+        edge_to_name[e]: n for e, n in formats.edge_names(h, names).items()
+    }
+    d = Hypergraph(
+        frozenset(renamed.values()),
+        frozenset(frozenset(renamed[v] for v in e) for e in d.edges),
+    )
+    _emit(formats.write_hypergraph(d, fmt=args.format), args.output)
     return EXIT_OK
 
 
@@ -212,14 +204,8 @@ def _cmd_width(args) -> int:
         report, witness = exact_ghw(h, max_vertices=args.max_vertices)
         print(report.width)
         if args.witness_out:
-            named = dict(names)
-            for auto, e in formats.auto_edge_names(h).items():
-                if e not in named.values():
-                    while auto in named:
-                        auto += "_"
-                    named[auto] = e
             _emit(
-                formats.write_decomposition(witness, named, fmt=args.format),
+                formats.write_decomposition(witness, names, fmt=args.format),
                 args.witness_out,
             )
     return EXIT_OK

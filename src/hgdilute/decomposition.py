@@ -455,7 +455,6 @@ def merge_transform(h: Hypergraph, ghd: GHDecomposition, v: str) -> GHDecomposit
 def ghd_from_dual_td(
     h: Hypergraph,
     td_of_dual: TreeDecomposition,
-    dual_vertex_to_edge: dict[str, frozenset] | None = None,
 ) -> GHDecomposition:
     """Cover decomposition of a reduced h from a tree decomposition of its dual.
 
@@ -466,8 +465,7 @@ def ghd_from_dual_td(
     if not h.is_reduced():
         raise InvalidInputError("hypergraph must be reduced")
     d, edge_to_name = dual_with_map(h)
-    if dual_vertex_to_edge is None:
-        dual_vertex_to_edge = {name: e for e, name in edge_to_name.items()}
+    dual_vertex_to_edge = {name: e for e, name in edge_to_name.items()}
     ok, why = validate_td(d, td_of_dual)
     if not ok:
         raise InvalidInputError(f"decomposition invalid for the dual: {why}")

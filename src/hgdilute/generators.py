@@ -15,7 +15,6 @@ seed (CPython's Mersenne Twister via ``random.Random``).
 from __future__ import annotations
 
 import random
-from importlib import resources
 
 from .errors import InvalidInputError
 from .hypergraph import Hypergraph, Path, PreJigsawWitness, edge_key, is_connected
@@ -27,7 +26,6 @@ __all__ = [
     "mesh",
     "subdivided_jigsaw",
     "random_hypergraph",
-    "fig3_sequence",
 ]
 
 
@@ -239,17 +237,3 @@ def random_hypergraph(
         f"max_degree={max_degree} max_rank={max_rank} found after {retries} tries"
     )
 
-
-def fig3_sequence():
-    """The packaged mesh(6,6) -> jigsaw(3,2) dilution sequence.
-
-    Parsed from the data file shipped with the package: merge on every
-    diagonal cell, then delete all cells except one junction cell per
-    adjacent pair of the six merged row-column blobs.
-    """
-    from .formats import parse_sequence  # formats imports this module: a cycle
-
-    text = (
-        resources.files("hgdilute").joinpath("data/mesh66_to_jigsaw32.dseq").read_text()
-    )
-    return parse_sequence(text)

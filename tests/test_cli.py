@@ -90,6 +90,13 @@ class TestStructureCommands:
         src.write_text("not a line\n")
         assert main(["dual", str(src)]) == 2
 
+    @pytest.mark.parametrize("command", [["dual"], ["width", "--kind", "ghw"]])
+    def test_one_name_for_two_edges_exit_2(self, tmp_path, command, capsys):
+        src = tmp_path / "h.hg"
+        src.write_text("a(x,y)\na(y,z)\ne2(z,w)\n")
+        assert main([*command, str(src)]) == 2
+        assert "names two different edges" in capsys.readouterr().err
+
 
 class TestDilutionCommands:
     def test_dilute_fig3(self, tmp_path, mesh66):
@@ -130,6 +137,23 @@ class TestDilutionCommands:
         seq = tmp_path / "bad.dseq"
         seq.write_text("delv zz\n")
         assert main(["dilute", str(src), str(seq)]) == 2
+
+    def test_json_step_missing_vertex_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "src.hg"
+        src.write_text("e1(a,b)\n")
+        seq = tmp_path / "bad.json"
+        seq.write_text('{"steps": [{"op": "delv"}]}')
+        assert main(["dilute", str(src), str(seq)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_truncated_json_sequence_exit_2(self, tmp_path, capsys):
+        src, tgt = tmp_path / "src.hg", tmp_path / "tgt.hg"
+        src.write_text("e1(a,b)\ne2(b,c)\n")
+        tgt.write_text("f(a,c)\n")
+        seq = tmp_path / "cut.json"
+        seq.write_text('{"steps": [{"op": "merge", "vertex": "b"}')
+        assert main(["check-dilution", str(src), str(tgt), "--seq", str(seq)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestWidthCommands:

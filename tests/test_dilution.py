@@ -24,7 +24,8 @@ from hgdilute.dilution import (
 )
 from hgdilute.errors import BudgetExceededError, InvalidStepError
 from hgdilute.hypergraph import Hypergraph, canonical_form, dual, is_connected, isomorphic
-from hgdilute.generators import fig3_sequence, grid, jigsaw, mesh, random_hypergraph
+from hgdilute.formats import fig3_sequence
+from hgdilute.generators import grid, jigsaw, mesh, random_hypergraph
 
 from conftest import sample_hypergraph
 

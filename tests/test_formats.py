@@ -10,6 +10,7 @@ from hgdilute.dilution import DilutionSequence, valid_steps, apply_step
 from hgdilute.errors import ParseError
 from hgdilute.formats import (
     auto_edge_names,
+    edge_names,
     parse_database,
     parse_decomposition,
     parse_expressive,
@@ -32,7 +33,7 @@ from hgdilute.formats import (
     write_solutions,
 )
 from hgdilute.generators import grid, jigsaw, mesh, subdivided_jigsaw
-from hgdilute.hypergraph import Hypergraph, dual_with_map
+from hgdilute.hypergraph import Hypergraph, dual_with_map, edge_key
 from hgdilute.minors import expressive_from_minor, find_grid_minor
 from hgdilute.dilution import reduce_hypergraph
 
@@ -188,3 +189,151 @@ class TestWitnessFormats:
             for fmt in ("text", "json"):
                 out = write_prejigsaw(w, names, fmt=fmt)
                 assert parse_prejigsaw(out, names) == w
+
+
+NAMES = {"e1": frozenset({"a", "b"})}
+
+# parser, extra arguments, a valid JSON document, the same document without a
+# required key, and the same document with one field of the wrong type
+MALFORMED_JSON = [
+    (
+        parse_hypergraph,
+        (),
+        '{"vertices": ["a"], "edges": [{"name": "e1", "vertices": ["a", "b"]}]}',
+        '{"vertices": ["a"], "edges": [{"vertices": ["a", "b"]}]}',
+        '{"vertices": ["a"], "edges": [{"name": "e1", "vertices": "ab"}]}',
+    ),
+    (
+        parse_sequence,
+        (),
+        '{"steps": [{"op": "delv", "vertex": "a"}]}',
+        '{"steps": [{"op": "delv"}]}',
+        '{"steps": [{"op": "dele", "vertices": "ab"}]}',
+    ),
+    (
+        parse_decomposition,
+        (NAMES,),
+        '{"nodes": [{"name": "t1", "parent": null, "bag": ["a"], "cover": ["e1"]}]}',
+        '{"nodes": [{"name": "t1", "parent": null, "cover": ["e1"]}]}',
+        '{"nodes": [{"name": "t1", "parent": null, "bag": "ab", "cover": ["e1"]}]}',
+    ),
+    (
+        parse_query,
+        (),
+        '{"atoms": [{"relation": "R", "args": ["x", "y"]}]}',
+        '{"atoms": [{"relation": "R"}]}',
+        '{"atoms": [{"relation": "R", "args": "xy"}]}',
+    ),
+    (
+        parse_database,
+        (),
+        '{"relations": {"R": [["a", "b"]]}}',
+        '{"facts": {"R": [["a", "b"]]}}',
+        '{"relations": {"R": "ab"}}',
+    ),
+    (
+        parse_solutions,
+        (),
+        '{"vars": ["x"], "solutions": [["a"]]}',
+        '{"vars": ["x"]}',
+        '{"vars": ["x"], "solutions": ["a"]}',
+    ),
+    (
+        parse_rename,
+        (),
+        '{"rename": {"x": "a"}}',
+        '{"renaming": {"x": "a"}}',
+        '{"rename": 5}',
+    ),
+    (
+        parse_minor_map,
+        (),
+        '{"branch_sets": {"x": ["a", "b"]}}',
+        '{"images": {"x": ["a", "b"]}}',
+        '{"branch_sets": {"x": "ab"}}',
+    ),
+    (
+        parse_expressive,
+        (NAMES,),
+        '{"branch_sets": {"x": ["a"], "y": ["b"]},'
+        ' "rho": [{"u": "x", "v": "y", "edge": "e1"}]}',
+        '{"branch_sets": {"x": ["a"], "y": ["b"]}}',
+        '{"branch_sets": {"x": ["a"], "y": ["b"]},'
+        ' "rho": [{"u": "x", "v": "y", "edge": ["e1"]}]}',
+    ),
+    (
+        parse_prejigsaw,
+        (NAMES,),
+        '{"dims": [1, 2], "pi": {}, "o": {}, "paths": []}',
+        '{"dims": [1, 2], "pi": {}, "o": {}}',
+        '{"dims": ["1", "2"], "pi": {}, "o": {}, "paths": []}',
+    ),
+]
+
+
+class TestMalformedInput:
+    """Every parser reports malformed input as a ParseError and nothing else."""
+
+    @pytest.mark.parametrize(
+        "parse, args, valid, missing, wrong",
+        MALFORMED_JSON,
+        ids=[case[0].__name__ for case in MALFORMED_JSON],
+    )
+    def test_json(self, parse, args, valid, missing, wrong):
+        parse(valid, *args)
+        for text in (valid[:-2], missing, wrong):
+            with pytest.raises(ParseError):
+                parse(text, *args)
+
+    def test_text_prejigsaw_dims_must_be_integers(self):
+        with pytest.raises(ParseError):
+            parse_prejigsaw("dims 2 x\n", {})
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_hypergraph, '{"vertices": ["a b"], "edges": []}'),
+            (parse_hypergraph, '{"edges": [{"name": "e 1", "vertices": ["a"]}]}'),
+            (parse_hypergraph, '{"edges": [{"name": "vertex", "vertices": ["a"]}]}'),
+            (parse_sequence, '{"steps": [{"op": "merge", "vertex": "a b"}]}'),
+            (parse_sequence, '{"steps": [{"op": "dele", "vertices": ["a b"]}]}'),
+            (parse_query, '{"atoms": [{"relation": "R", "args": ["a b"]}]}'),
+            (parse_query, '{"atoms": [{"relation": "R S", "args": ["x"]}]}'),
+            (parse_database, '{"relations": {"R": [["a b"]]}}'),
+            (parse_database, '{"relations": {"R-S": [["a"]]}}'),
+            (parse_solutions, '{"vars": ["x"], "solutions": [["a b"]]}'),
+        ],
+    )
+    def test_json_names_follow_the_text_rule(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a(x,y)\na(y,z)\ne2(z,w)\n",
+            "e1(a,b)\ne2(b,a)\ne2(c,d)\n",
+            '{"edges": [{"name": "a", "vertices": ["x", "y"]},'
+            ' {"name": "a", "vertices": ["y", "z"]}]}',
+        ],
+    )
+    def test_one_name_for_two_edges_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_hypergraph(text)
+
+
+class TestEdgeNames:
+    @given(seeds)
+    @settings(max_examples=30)
+    def test_edge_names_inverts_auto_edge_names(self, seed):
+        h = sample_hypergraph(random.Random(seed))
+        assert edge_names(h) == {e: n for n, e in auto_edge_names(h).items()}
+
+    def test_write_names_every_edge_by_the_rule(self):
+        h = grid(2, 2)
+        edges = sorted(h.edges, key=edge_key)
+        names = {"e2": edges[3], "top": edges[1], "e1": frozenset({"gone"})}
+        _, parsed = parse_hypergraph(write_hypergraph(h, names))
+        # named edges keep their names; the rest count up, skipping e1 and e2
+        assert parsed == {"e3": edges[0], "top": edges[1], "e4": edges[2], "e2": edges[3]}
+        assert edge_names(h, names) == {e: n for n, e in parsed.items()}

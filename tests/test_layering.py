@@ -1,15 +1,11 @@
-"""Module layering: every library import sits at the top of its module.
-
-The one exception is ``generators.fig3_sequence``, which imports the
-``formats`` module that itself imports ``generators``.
-"""
+"""Module layering: every library import sits at the top of its module."""
 
 import ast
 import pathlib
 
 import hgdilute
 
-ALLOWED = [("generators", "fig3_sequence", "formats")]
+ALLOWED = []
 
 
 def _function_imports():
