@@ -17,7 +17,7 @@ import tempfile
 import time
 
 from . import formats
-from .acceptance import run_suite
+from .acceptance import CRITERIA, run_suite
 from .cq import (
     DEFAULT_CORE_VAR_LIMIT,
     count as cq_count,
@@ -311,12 +311,27 @@ def _cmd_sghw(args) -> int:
     return EXIT_OK
 
 
+def _criterion_numbers(text: str) -> set[int]:
+    """``--only``: comma-separated numbers of shipped criteria."""
+    known = [ident for ident, _, _ in CRITERIA]
+    try:
+        picked = {int(x) for x in text.split(",")}
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated criterion numbers, got {text!r}"
+        ) from None
+    unknown = sorted(picked.difference(known))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"no criterion {', '.join(map(str, unknown))} "
+            f"(criteria are {known[0]}-{known[-1]})"
+        )
+    return picked
+
+
 def _cmd_suite(args) -> int:
-    only = None
-    if args.only:
-        only = {int(x) for x in args.only.split(",")}
     start = time.monotonic()
-    results = run_suite(only=only, quick=args.quick, seed=args.seed)
+    results = run_suite(only=args.only, quick=args.quick, seed=args.seed)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -466,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sghw)
 
     p = sub.add_parser("suite", help="run the acceptance batteries")
-    p.add_argument("--only", help="comma-separated criterion numbers")
+    p.add_argument(
+        "--only", type=_criterion_numbers, help="comma-separated criterion numbers"
+    )
     p.add_argument("--quick", action="store_true", help="smaller smoke corpora")
     p.add_argument("--seed", type=int, default=20250810)
     p.set_defaults(func=_cmd_suite)

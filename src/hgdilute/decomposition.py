@@ -250,6 +250,33 @@ def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
     return best[0], order, bags
 
 
+def _min_degree_width(adj: list[int]) -> int:
+    """Treewidth upper bound: the widest bag of a min-degree elimination.
+
+    Eliminating v turns its remaining neighbours into a clique; the bag is v
+    plus those neighbours, so the width is the largest neighbour count met.
+    Ties go to the lowest index.  Any elimination order bounds the treewidth
+    from above.  Once no more vertices are left than the widest bag so far,
+    no later bag can be wider.  -1 for no vertices.
+    """
+    adj = list(adj)
+    left = list(range(len(adj)))
+    width = -1
+    while len(left) > width + 1:
+        degrees = [adj[v].bit_count() for v in left]
+        k = degrees.index(min(degrees))
+        v = left.pop(k)
+        width = max(width, degrees[k])
+        around = adj[v]
+        rest = around
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            i = u.bit_length() - 1
+            adj[i] = (adj[i] | around) & ~(u | 1 << v)
+    return width
+
+
 def _td_from_order(
     verts: list[str], order: list[int], bags: list[int]
 ) -> TreeDecomposition:

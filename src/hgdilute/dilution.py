@@ -212,14 +212,25 @@ def reduce_hypergraph(h: Hypergraph) -> tuple[Hypergraph, DilutionSequence]:
 
 
 def _orbit_steps(h: Hypergraph, gens) -> list[Step]:
-    """``valid_steps(h)`` keeping only the first step of each orbit of ``gens``.
+    """``valid_steps(h)`` keeping only the first step of each orbit of ``gens``
+    and no merge on a vertex of degree 1.
 
     An automorphism g of h maps the child of a step onto the child of the
     step's image (vertex steps move by vertex, subedge deletions by edge
     image), so the children of one orbit are isomorphic and a search that
-    deduplicates by certificate needs only the first of them.
+    deduplicates by certificate needs only the first of them.  Merging on a
+    vertex that lies in one edge yields the same hypergraph as deleting it,
+    and every vertex deletion comes earlier, so that child is always seen.
     """
-    steps = valid_steps(h)
+    degree = dict.fromkeys(h.vertices, 0)
+    for e in h.edges:
+        for v in e:
+            degree[v] += 1
+    steps = [
+        s
+        for s in valid_steps(h)
+        if not (isinstance(s, MergeOn) and degree[s.vertex] == 1)
+    ]
     if not gens:
         return steps
     orbit: dict = {}  # vertex or edge -> first member of its orbit

@@ -40,7 +40,7 @@ from .dilution import (
     DilutionSequence,
     MergeOn,
 )
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 from .generators import jigsaw_named_edges
 from .hypergraph import Hypergraph, Path, PreJigsawWitness, edge_key
 from .minors import ExpressiveMinorMap, MinorMap
@@ -585,7 +585,10 @@ def parse_prejigsaw(
         if "dims" not in doc:
             raise ParseError("witness needs a dims line")
     n, m = doc["dims"]
-    jn = jigsaw_named_edges(n, m)
+    try:
+        jn = jigsaw_named_edges(n, m)
+    except InvalidInputError as err:
+        raise ParseError(f"dims {n} {m}: {err}") from None
     groups = {}
     for jname, ens in doc["o"].items():
         if jname not in jn:

@@ -3,12 +3,21 @@
 A minor map sends each vertex of a pattern graph to a connected, pairwise
 disjoint branch set of the host, with host edges witnessing pattern adjacency.
 ``find_minor`` is an exhaustive model search (complete; budget-guarded) over
-the host's connected vertex subsets held as int masks.  On 12-14-vertex hosts
-(relabelled grids, duals of meshes and jigsaws) it finds a 2x2 or 3x3 grid in
-at most 0.03 s and proves absence on 12 vertices in 0.12 s; at 14 vertices an
-absence proof can outgrow the default 1e6 attempts (no 3x3 grid in
-``grid(2, 7)`` takes 2.47e6), which run out after about 0.7 s (timed on a
-2-core x86 machine).
+the host's connected vertex subsets held as int masks.  Before the search it
+tries minor-monotone certificates of absence: a pattern with more primal
+edges, a larger circuit rank or a larger treewidth than the host is no minor
+(treewidth is compared with a min-degree elimination bound of the host).
+During the search it drops every partial placement that leaves some
+connected piece of the unplaced pattern no connected region of the unused
+host to go to.  Neither cut removes a branch that holds a model, so the
+first model found is the one the plain search finds.  On 12-16-vertex hosts
+(relabelled grids, duals of meshes and jigsaws) it finds a 2x2, 3x3 or 4x4
+grid in at most 0.35 s, and the treewidth certificate proves that no 3x3 or
+4x4 grid lies in a 2 x k grid (``grid(2, 7)`` took 2.47e6 attempts before)
+in 2 ms.  Absences that no certificate settles are proved by the search on
+random 12-vertex hosts in at most 0.23 s; on 14 and 16 vertices some still
+outgrow the default 1e6 attempts, which run out after at most 3.1 s (timed
+on a 2-core x86 machine).
 
 ``jigsaw_from_grid_minor`` turns a grid minor of the dual of a degree-2
 hypergraph into an explicit dilution sequence onto the grid's dual, by merging
@@ -26,9 +35,14 @@ onto the jigsaw by merging each region.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+from .decomposition import (
+    DEFAULT_TW_VERTEX_LIMIT,
+    _adjacency_masks,
+    _eliminate,
+    _min_degree_width,
+)
 from .dilution import (
     DeleteSubedge,
     DeleteVertex,
@@ -127,15 +141,52 @@ def validate_minor_map(
 # -- exhaustive minor search --------------------------------------------------
 
 
-def _connected_subsets(host: Hypergraph) -> list[tuple[int, int, int]]:
+def _mask_components(adj: list[int], within: int) -> list[int]:
+    """Connected pieces of the vertices in mask ``within``, as masks, ordered
+    by their lowest vertex; ``adj`` holds one neighbour mask per vertex."""
+    pieces = []
+    while within:
+        piece = front = within & -within
+        while front:
+            b = front & -front
+            front ^= b
+            new = adj[b.bit_length() - 1] & within & ~piece
+            piece |= new
+            front |= new
+        pieces.append(piece)
+        within &= ~piece
+    return pieces
+
+
+def _edge_count(adj: list[int]) -> int:
+    return sum(map(int.bit_count, adj)) >> 1
+
+
+def _circuit_rank(adj: list[int]) -> int:
+    """Edges - vertices + components: the number of independent cycles."""
+    pieces = _mask_components(adj, (1 << len(adj)) - 1)
+    return _edge_count(adj) - len(adj) + len(pieces)
+
+
+def _wider(gadj: list[int], nbr: list[int]) -> bool:
+    """Whether the pattern's exact treewidth exceeds the host's min-degree
+    elimination bound.  The exact subset DP runs only when the pattern fits
+    it and its own min-degree bound lies above the host's."""
+    bound = _min_degree_width(nbr)
+    # a treewidth is at most the vertex count less one
+    if bound >= len(gadj) - 1 or len(gadj) > DEFAULT_TW_VERTEX_LIMIT:
+        return False
+    if _min_degree_width(gadj) <= bound:
+        return False
+    return _eliminate(gadj, int.bit_count)[0] - 1 > bound
+
+
+def _connected_subsets(nbr: list[int]) -> list[tuple[int, int, int]]:
     """Every connected vertex subset, each exactly once, as (mask,
-    open-neighbourhood mask, size) with vertex i of the sorted vertex list at
-    bit i; ordered by size, then by the sorted tuple of vertex indices."""
-    names = sorted(host.vertices)
-    bit = {v: 1 << i for i, v in enumerate(names)}
-    adj = neighbors(host)
-    nbr = [sum(bit[w] for w in adj[v]) for v in names]
-    top = len(names) - 1
+    open-neighbourhood mask, size), for the vertices 0..n-1 with neighbour
+    masks ``nbr``; ordered by size, then by the sorted tuple of vertex
+    indices."""
+    top = len(nbr) - 1
     keyed: list[tuple[int, int, int, int]] = []
 
     def expand(mask: int, rev: int, size: int, around: int, banned: int):
@@ -150,7 +201,7 @@ def _connected_subsets(host: Hypergraph) -> list[tuple[int, int, int]]:
             expand(grown, rev | 1 << (top - k), size + 1, ring, banned)
             banned |= u
 
-    for i in range(len(names)):
+    for i in range(len(nbr)):
         # subsets whose minimum element is i: every vertex up to i is banned
         expand(1 << i, 1 << (top - i), 1, nbr[i], (2 << i) - 1)
     keyed.sort()
@@ -164,42 +215,94 @@ def find_minor(
 ) -> MinorMap | None:
     """Exhaustive search for a minor model of connected pattern g in host.
 
-    None means proven absence; exceeding the budget raises.
+    None means proven absence; exceeding the budget raises.  Absence is
+    first tried by certificates: more pattern vertices, primal edges or
+    circuit rank than the host, or a pattern treewidth above the host's
+    min-degree elimination bound.  The search then places the pattern
+    vertices in breadth-first order, each on a connected host subset by
+    size, and drops a partial placement as soon as some connected piece of
+    the unplaced pattern fits no connected piece of the unused host
+    vertices: one with at least as many vertices that touches the image of
+    every placed neighbour of the piece.  The next vertex is tried only
+    inside a region that fits its own piece.  These only cut branches
+    without a completion, so the first model found is the unpruned search's.
     """
     _check_graph(g)
-    if not is_connected(g):
+    gnames = sorted(g.vertices)
+    gadj = _adjacency_masks({v: i for i, v in enumerate(gnames)}, g.edges)
+    # breadth-first from the least vertex, neighbours in name order
+    order, seen = [0] if gnames else [], 1
+    for x in order:
+        fresh = gadj[x] & ~seen
+        seen |= fresh
+        while fresh:
+            b = fresh & -fresh
+            fresh ^= b
+            order.append(b.bit_length() - 1)
+    if len(order) < len(gnames):
         raise InvalidInputError("pattern must be connected")
-    if len(g.vertices) > len(host.vertices):
+    if len(gnames) > len(host.vertices):
+        return None
+    # pattern adjacency by position in the order
+    padj = _adjacency_masks({gnames[x]: i for i, x in enumerate(order)}, g.edges)
+    names = sorted(host.vertices)
+    nbr = _adjacency_masks({v: i for i, v in enumerate(names)}, host.edges)
+    # edge count, circuit rank and treewidth never grow under deletion or
+    # contraction (Robertson & Seymour, Graph Minors): a pattern above the
+    # host in any of them has no model; the cheapest come first
+    if (
+        _edge_count(padj) > _edge_count(nbr)
+        or _circuit_rank(padj) > _circuit_rank(nbr)
+        or _wider(padj, nbr)
+    ):
         return None
 
-    order: list[str] = []
-    seen: set[str] = set()
-    gadj = neighbors(g)
-    start = min(g.vertices)
-    queue = deque([start])
-    seen.add(start)
-    while queue:
-        x = queue.popleft()
-        order.append(x)
-        for y in sorted(gadj[x]):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    pos = {t: i for i, t in enumerate(order)}
-    earlier = [[pos[w] for w in gadj[t] if pos[w] < i] for i, t in enumerate(order)]
-    subsets = _connected_subsets(host)
+    n = len(order)
+    earlier = [[j for j in range(i) if padj[i] >> j & 1] for i in range(n)]
+    # fits[i]: (size, placed neighbours) of each piece of the pattern left
+    # unplaced at depth i, the piece holding order[i] first
+    fits = [
+        [
+            (piece.bit_count(), [j for j in range(i) if padj[j] & piece])
+            for piece in _mask_components(padj, (1 << n) - (1 << i))
+        ]
+        for i in range(n)
+    ]
+    subsets = _connected_subsets(nbr)
+    everything = (1 << len(names)) - 1
     attempts = 0
 
-    def place(i: int, used: int, free: int, images: list[int]):
+    def place(i: int, used: int, images: list[int], rims: list[int]):
         nonlocal attempts
-        if i == len(order):
+        if i == n:
             return list(images)
-        room = free - (len(order) - i - 1)
+        free = everything & ~used
+        limit = free.bit_count() - (n - i - 1)
+        # a piece fits a region (a connected piece of the free host) that has
+        # room for it and touches the image of each of its placed neighbours;
+        # order[i] must go to a region that fits its own piece
+        regions = _mask_components(nbr, free)
+        for k, (size, touch) in enumerate(fits[i]):
+            spot = room = 0
+            for r in regions:
+                if r.bit_count() >= size:
+                    for j in touch:
+                        if not r & rims[j]:
+                            break
+                    else:
+                        spot |= r
+                        room = max(room, r.bit_count() - size + 1)
+                        if k:
+                            break  # one region is enough for the others
+            if not spot:
+                return None
+            if not k:
+                home, limit = spot, min(limit, room)
         linked = [images[j] for j in earlier[i]]
         for s, around, size in subsets:
-            if size > room:
+            if size > limit:
                 break  # sizes only grow from here
-            if s & used:
+            if s & ~home:
                 continue
             attempts += 1
             if attempts > budget:
@@ -212,18 +315,19 @@ def find_minor(
                     break
             else:
                 images.append(s)
-                res = place(i + 1, used | s, free - size, images)
+                rims.append(around)
+                res = place(i + 1, used | s, images, rims)
                 if res is not None:
                     return res
                 images.pop()
+                rims.pop()
         return None
 
-    model = place(0, 0, len(host.vertices), [])
+    model = place(0, 0, [], [])
     if model is None:
         return None
-    names = sorted(host.vertices)
     sets = [{v for k, v in enumerate(names) if m >> k & 1} for m in model]
-    return MinorMap.of(dict(zip(order, sets)))
+    return MinorMap.of(dict(zip((gnames[x] for x in order), sets)))
 
 
 def extend_to_onto(g: Hypergraph, host: Hypergraph, mm: MinorMap) -> MinorMap:
@@ -258,9 +362,11 @@ def find_grid_minor(
 ) -> MinorMap | None:
     """Onto minor map of the n x n grid into host, or proven absence.
 
-    Complete in practice for hosts of about 12 vertices, and of about 14
-    when the grid is present; beyond that the budget decides.  The host must
-    be connected for the returned map to be onto.
+    Complete in practice for hosts of about 12 vertices, and of about 16
+    when the grid is present or a certificate rules it out (for instance a
+    host whose min-degree elimination bound is below n); beyond that the
+    budget decides.  The host must be connected for the returned map to be
+    onto.
     """
     g = grid(n, n)
     mm = find_minor(g, host, budget=budget)

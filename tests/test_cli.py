@@ -306,3 +306,20 @@ class TestSuiteCommand:
         assert main(["suite", "--quick", "--only", "6,8,11"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "3/3 criteria passed in " in out
+
+    @pytest.mark.parametrize(
+        "only,message",
+        [
+            ("x", "expected comma-separated criterion numbers, got 'x'"),
+            ("6,x", "expected comma-separated criterion numbers, got '6,x'"),
+            ("13", "no criterion 13 (criteria are 1-12)"),
+            ("0,6,13", "no criterion 0, 13 (criteria are 1-12)"),
+        ],
+    )
+    def test_bad_only_exit_2(self, only, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["suite", "--quick", "--only", only])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hgdilute suite")
+        assert f"argument --only: {message}" in err

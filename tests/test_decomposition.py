@@ -356,6 +356,36 @@ class TestSubsetDP:
         ]
 
 
+def min_degree_width(h):
+    index = {v: i for i, v in enumerate(sorted(h.vertices))}
+    adj = decomposition._adjacency_masks(index, h.edges)
+    return decomposition._min_degree_width(adj)
+
+
+class TestMinDegreeBound:
+    @given(small_hypergraphs())
+    @settings(max_examples=60)
+    def test_bounds_treewidth_from_above(self, h):
+        assert min_degree_width(h) >= exact_treewidth(h)[0].width
+
+    @pytest.mark.parametrize(
+        "h, width",
+        [
+            (H(), -1),
+            (H(extra="a"), 0),
+            (H("ab", "bc", "cd", extra="e"), 1),
+            (H("ab", "bc", "cd", "da"), 2),
+            (H("abcd"), 3),
+            (grid(3, 3), 3),
+            (grid(2, 7), 2),
+            # loose here: the treewidth is 3
+            (H("ae", "bd", "ab", "bc", "df", "cd", "de", "cf", "af", "ce"), 4),
+        ],
+    )
+    def test_known_values(self, h, width):
+        assert min_degree_width(h) == width
+
+
 class TestMergeTransform:
     def test_two_edges_merge_drops_width(self):
         # one-bag decomposition covering with both edges: width 2 -> 1

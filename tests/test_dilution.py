@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgdilute.acceptance import _connected_graphs_upto, _degree2_corpus
 from hgdilute.dilution import (
     DeleteSubedge,
     DeleteVertex,
@@ -21,6 +22,7 @@ from hgdilute.dilution import (
     track_labels,
     valid_steps,
     verify_dilution,
+    _orbit_steps,
 )
 from hgdilute.errors import BudgetExceededError, InvalidStepError
 from hgdilute.hypergraph import Hypergraph, canonical_form, dual, is_connected, isomorphic
@@ -322,6 +324,33 @@ class TestOrbitPruning:
         assert reachable_dilutions(mesh(3, 4), min_vertices=5, min_edges=4) == (
             unpruned_reachable(mesh(3, 4), 5, 4)
         )
+
+    @pytest.mark.parametrize(
+        "src",
+        [H("ab", "bc", "c"), H("abc", "cde", "aef", extra="g"), H("abcd", "ab", "de")],
+    )
+    def test_leaf_merges_not_expanded(self, src):
+        # merging on a vertex of degree 1 gives the child its deletion gives
+        degree = {v: sum(v in e for e in src.edges) for v in src.vertices}
+        leaves = sorted(v for v, d in degree.items() if d == 1)
+        assert leaves
+        for v in leaves:
+            assert merge_on(src, v) == delete_vertex(src, v)
+        kept = _orbit_steps(src, ())
+        assert kept == [s for s in valid_steps(src) if s not in map(MergeOn, leaves)]
+
+    def test_degree2_corpus_matches_unpruned(self):
+        """Reachable sets, searched sequences and least budgets on the degree-2
+        hosts with at most 5 edges (97 of the 206 of criterion 7)."""
+        graphs = [g for g in _connected_graphs_upto(4) if len(g.vertices) == 4]
+        targets = [dual(g) for g in graphs[:3]]
+        for h in _degree2_corpus(max_h_edges=5, max_h_vertices=6):
+            reach = unpruned_reachable(h)
+            assert reachable_dilutions(h, budget=len(reach)) == reach
+            with pytest.raises(BudgetExceededError):
+                reachable_dilutions(h, budget=len(reach) - 1)
+            for target in targets:
+                assert_search_matches_oracle(h, target)
 
 
 class TestLabels:

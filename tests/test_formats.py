@@ -290,6 +290,13 @@ class TestMalformedInput:
             parse_prejigsaw("dims 2 x\n", {})
 
     @pytest.mark.parametrize(
+        "text", ["dims 0 2\n", '{"dims": [0, 2], "pi": {}, "o": {}, "paths": []}']
+    )
+    def test_prejigsaw_dims_without_a_jigsaw(self, text):
+        with pytest.raises(ParseError, match="dims 0 2: jigsaw needs"):
+            parse_prejigsaw(text, {})
+
+    @pytest.mark.parametrize(
         "parse, text",
         [
             (parse_hypergraph, '{"vertices": ["a b"], "edges": []}'),

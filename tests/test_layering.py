@@ -1,4 +1,5 @@
-"""Module layering: every library import sits at the top of its module."""
+"""Module layering: every library import sits at the top of its module, and
+no module relies on ``assert``, which ``python -O`` strips."""
 
 import ast
 import pathlib
@@ -8,10 +9,14 @@ import hgdilute
 ALLOWED = []
 
 
+def _modules():
+    for path in sorted(pathlib.Path(hgdilute.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def _function_imports():
     found = []
-    for path in sorted(pathlib.Path(hgdilute.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _modules():
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -25,3 +30,13 @@ def _function_imports():
 
 def test_imports_only_at_module_top():
     assert _function_imports() == ALLOWED
+
+
+def test_no_assert_statements():
+    found = [
+        (path.stem, node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hgdilute.decomposition import _adjacency_masks
 from hgdilute.dilution import (
     DilutionSequence,
     MergeOn,
@@ -31,6 +32,9 @@ from hgdilute.minors import (
     validate_expressive_minor,
     validate_minor_map,
     validate_prejigsaw,
+    _circuit_rank,
+    _edge_count,
+    _wider,
 )
 
 
@@ -195,8 +199,124 @@ class TestFindMinorOracle:
             assert verdict == minor_oracle(g, host, a)
 
 
+@st.composite
+def hosts_upto7(draw):
+    """Up to 7 vertices with hyperedges, singleton and empty edges and
+    isolated vertices, often sparse."""
+    n = 7 - draw(st.integers(min_value=0, max_value=7))  # mostly large
+    names = draw(st.permutations("pkcwfaz"))[:n]
+    edge = st.sets(st.sampled_from(names), max_size=3) if names else st.just(set())
+    edges = draw(st.lists(edge, max_size=draw(st.integers(0, 9))))
+    return Hypergraph(frozenset(names), frozenset(frozenset(e) for e in edges))
+
+
+@st.composite
+def patterns_upto5(draw):
+    """Connected graphs on 1 to 5 vertices: a random tree plus extra edges."""
+    n = 5 - draw(st.integers(min_value=0, max_value=4))  # mostly large
+    names = "abcde"[:n]
+    edges = [{names[i], names[draw(st.integers(0, i - 1))]} for i in range(1, n)]
+    if n > 2:
+        pairs = list(itertools.combinations(names, 2))
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=6))
+    return Hypergraph.make(edges, vertices=names)
+
+
+def has_minor_by_branch_sets(g, host):
+    """Brute force over every tuple of pairwise disjoint, nonempty, connected
+    host vertex sets, one per pattern vertex, checked from the edges alone."""
+    hosts = sorted(host.vertices)
+
+    def connected(s):
+        reach, grow = set(sorted(s)[:1]), True
+        while grow:
+            step = {x for e in host.edges if e & reach for x in e & s}
+            grow = not step <= reach
+            reach |= step
+        return reach == s
+
+    blocks = [
+        frozenset(c)
+        for k in range(1, len(hosts) + 1)
+        for c in itertools.combinations(hosts, k)
+        if connected(set(c))
+    ]
+    verts = sorted(g.vertices)
+
+    def extend(chosen):
+        i = len(chosen)
+        if i == len(verts):
+            return True
+        for b in blocks:
+            if any(b & c for c in chosen):
+                continue
+            joined = all(
+                any(f & b and f & chosen[j] for f in host.edges)
+                for j in range(i)
+                if frozenset({verts[i], verts[j]}) in g.edges
+            )
+            if joined and extend(chosen + [b]):
+                return True
+        return False
+
+    return extend([])
+
+
+def masks(h):
+    return _adjacency_masks({v: i for i, v in enumerate(sorted(h.vertices))}, h.edges)
+
+
+class TestAbsenceCertificates:
+    """Each certificate on its own proves absence whenever it fires."""
+
+    @given(hosts_upto7(), patterns_upto5())
+    @settings(max_examples=100)
+    def test_brute_force_matches_search(self, host, g):
+        assert has_minor_by_branch_sets(g, host) == (find_minor(g, host) is not None)
+
+    @given(hosts_upto7(), patterns_upto5())
+    @settings(max_examples=100)
+    def test_more_edges(self, host, g):
+        assume(_edge_count(masks(g)) > _edge_count(masks(host)))
+        assert not has_minor_by_branch_sets(g, host)
+
+    @given(hosts_upto7(), patterns_upto5())
+    @settings(max_examples=100)
+    def test_larger_circuit_rank(self, host, g):
+        assume(_circuit_rank(masks(g)) > _circuit_rank(masks(host)))
+        assert not has_minor_by_branch_sets(g, host)
+
+    @given(hosts_upto7(), patterns_upto5())
+    @settings(max_examples=100)
+    def test_larger_treewidth(self, host, g):
+        assume(_wider(masks(g), masks(host)))
+        assert not has_minor_by_branch_sets(g, host)
+
+    def test_treewidth_is_exact_where_min_degree_is_loose(self):
+        # min-degree elimination reads 4 on this pattern; its treewidth is 3
+        g = H("ae", "bd", "ab", "bc", "df", "cd", "de", "cf", "af", "ce")
+        assert not _wider(masks(g), masks(grid(3, 3)))  # host bound 3
+        assert _wider(masks(g), masks(grid(2, 7)))  # host bound 2
+
+    def test_circuit_rank_counts_components(self):
+        # two triangles and an isolated vertex: 6 - 7 + 3
+        two_triangles = H("ab", "bc", "ca", "xy", "yz", "zx", extra="q")
+        assert _circuit_rank(masks(two_triangles)) == 2
+        # a hyperedge is a clique of the primal graph: 6 - 4 + 1
+        assert _circuit_rank(masks(H("abcd"))) == 3
+
+    @pytest.mark.parametrize(
+        "host", [grid(2, 7), graph_dual(jigsaw(2, 7))], ids=["grid27", "jigsaw27-dual"]
+    )
+    def test_no_3x3_grid_in_2x7_grid(self, host):
+        # treewidth 3 against 2: proved before any placement attempt
+        assert find_minor(grid(3, 3), host) is None
+        assert find_minor(grid(3, 3), host, budget=0) is None
+
+
 class TestPinnedSearch:
-    """Witnesses and attempt counts copied from the frozenset search."""
+    """Witnesses copied from the frozenset search; attempt counts from the
+    search with free-region pruning."""
 
     # a relabelled grid(3,4): sorted grid vertex i becomes RELABEL[i]
     RELABEL = ["q10", "q6", "q2", "q1", "q4", "q11", "q0", "q7", "q5", "q8", "q3", "q9"]
@@ -224,9 +344,19 @@ class TestPinnedSearch:
         ]
 
     def test_exact_attempt_budget(self):
-        assert find_minor(grid(3, 3), self.host(), budget=36120) is not None
-        with pytest.raises(BudgetExceededError, match="36119 placement attempts"):
-            find_minor(grid(3, 3), self.host(), budget=36119)
+        # free-region pruning: 36120 attempts before it
+        assert find_minor(grid(3, 3), self.host(), budget=5967) is not None
+        with pytest.raises(BudgetExceededError, match="5966 placement attempts"):
+            find_minor(grid(3, 3), self.host(), budget=5966)
+
+    def test_exact_absence_budget(self):
+        # no certificate fires on grid(3,4) less a middle edge; the pruned
+        # search proves absence in 53772 attempts (205616 unpruned)
+        g = grid(3, 4)
+        host = Hypergraph(g.vertices, g.edges - {frozenset({"x2_2", "x2_3"})})
+        assert find_minor(grid(3, 3), host, budget=53772) is None
+        with pytest.raises(BudgetExceededError, match="53771 placement attempts"):
+            find_minor(grid(3, 3), host, budget=53771)
 
 
 class TestJigsawExtraction:
