@@ -341,9 +341,10 @@ class _CoverNumbers(dict):
 
     The lowest vertex of a mask lies in some edge of every cover, so
     cover[m] = 1 + min over the edges e at that vertex of cover[m & ~e].
-    Each level of the recursion uses a new edge, so it is at most as deep as
-    there are edges.  Unlike a recursive closure, which refers to itself,
-    the memo holds no reference cycle and is freed as soon as it is dropped.
+    A miss fills the memo depth first from an explicit stack, so a cover
+    needing a long chain of edges takes no Python frame per edge.  Unlike a
+    recursive closure, which refers to itself, the memo holds no reference
+    cycle and is freed as soon as it is dropped.
     """
 
     def __init__(self, edges: list[int], n: int):
@@ -351,9 +352,20 @@ class _CoverNumbers(dict):
         self.at = [[e for e in edges if e >> i & 1] for i in range(n)]
 
     def __missing__(self, m: int) -> int:
-        low = (m & -m).bit_length() - 1
-        got = self[m] = 1 + min(self[m & ~e] for e in self.at[low])
-        return got
+        at, known = self.at, self.get
+        stack: list[int] = []  # masks waiting for their rests, m at the bottom
+        x = m
+        while True:
+            edges = at[(x & -x).bit_length() - 1]
+            covers = [known(x & ~e) for e in edges]
+            if None in covers:  # fill the unknown rests first, then x again
+                stack.append(x)
+                stack += [x & ~e for e, c in zip(edges, covers) if c is None]
+            else:
+                got = self[x] = 1 + min(covers)
+                if not stack:
+                    return got
+            x = stack.pop()
 
 
 def _read_cover(edges: list[int], cover: _CoverNumbers, m: int) -> list[int]:

@@ -14,6 +14,15 @@ a state's automorphisms (found by the canonical labelling) map onto one
 another, only the first is expanded: the others lead to isomorphic children,
 which the unpruned search would have found already seen, so the visited
 states, the budget used and the returned sequences are unchanged.
+
+The search runs on int masks, not on named hypergraphs: a state is a
+frozenset of edge masks over its vertices in name order, each step a few bit
+operations, and each child is born in the index form the labelling core
+(``hypergraph._canonical_index``) takes.  A child whose index form the sweep
+has met before is skipped before any labelling, and named ``Step`` values are
+built only for the states the sweep yields.  The named step functions below
+(``apply_step``, ``valid_steps``) are the public API and the reference the
+mask steps are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .hypergraph import (
     DEFAULT_ISO_BUDGET,
     Hypergraph,
     IsoWitness,
-    _canonical,
+    _canonical_index,
     canonical_form,
     edge_key,
     isomorphic,
@@ -210,48 +219,85 @@ def reduce_hypergraph(h: Hypergraph) -> tuple[Hypergraph, DilutionSequence]:
 
 # -- exhaustive decision -----------------------------------------------------
 
+# step kinds of the index-space search, in ``valid_steps`` order
+_DELETE_VERTEX, _DELETE_SUBEDGE, _MERGE_ON = 0, 1, 2
 
-def _orbit_steps(h: Hypergraph, gens) -> list[Step]:
-    """``valid_steps(h)`` keeping only the first step of each orbit of ``gens``
-    and no merge on a vertex of degree 1.
 
-    An automorphism g of h maps the child of a step onto the child of the
+def _bits(m: int) -> list[int]:
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def _edge_order(m: int) -> tuple:
+    """``edge_key`` of an edge mask, vertex i standing for the i-th name."""
+    return m.bit_count(), _bits(m)
+
+
+def _mask_steps(n: int, edges, gens) -> list[tuple[int, int]]:
+    """The steps the search expands from vertices ``0..n-1`` with edge masks
+    ``edges``: ``(kind, vertex or edge mask)`` pairs.
+
+    They are ``valid_steps`` of the named state in its order (vertex order
+    is name order, and ``_edge_order`` is ``edge_key``), keeping only the
+    first step of each orbit of ``gens`` and no merge on a vertex of degree
+    1.  An automorphism g maps the child of a step onto the child of the
     step's image (vertex steps move by vertex, subedge deletions by edge
     image), so the children of one orbit are isomorphic and a search that
     deduplicates by certificate needs only the first of them.  Merging on a
     vertex that lies in one edge yields the same hypergraph as deleting it,
     and every vertex deletion comes earlier, so that child is always seen.
     """
-    degree = dict.fromkeys(h.vertices, 0)
-    for e in h.edges:
-        for v in e:
-            degree[v] += 1
-    steps = [
-        s
-        for s in valid_steps(h)
-        if not (isinstance(s, MergeOn) and degree[s.vertex] == 1)
-    ]
+    once = twice = 0  # vertices in at least one, and at least two edges
+    for e in edges:
+        twice |= once & e
+        once |= e
+    deletable = sorted(
+        (e for e in edges if any(e & f == e != f for f in edges)), key=_edge_order
+    )
+    steps = [(_DELETE_VERTEX, v) for v in range(n)]
+    steps += [(_DELETE_SUBEDGE, e) for e in deletable]
+    steps += [(_MERGE_ON, v) for v in range(n) if twice >> v & 1]
     if not gens:
         return steps
-    orbit: dict = {}  # vertex or edge -> first member of its orbit
+    first = [-1] * n  # vertex -> first vertex of its orbit
+    for v in range(n):
+        if first[v] >= 0:
+            continue
+        first[v] = v
+        stack = [v]
+        while stack:
+            y = stack.pop()
+            for g in gens:
+                if first[g[y]] < 0:
+                    first[g[y]] = v
+                    stack.append(g[y])
+    orbit: dict[int, int] = {}  # edge mask -> first deletable edge of its orbit
+    for e in deletable:
+        if e in orbit:
+            continue
+        orbit[e] = e
+        stack = [e]
+        while stack:
+            y = _bits(stack.pop())
+            for g in gens:
+                z = sum([1 << g[i] for i in y])
+                if z not in orbit:
+                    orbit[z] = e
+                    stack.append(z)
     kept, met = [], set()
-    for step in steps:
-        x = step.edge if isinstance(step, DeleteSubedge) else step.vertex
-        if x not in orbit:
-            orbit[x] = x
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for g in gens:
-                    z = frozenset([g[v] for v in y]) if type(y) is frozenset else g[y]
-                    if z not in orbit:
-                        orbit[z] = x
-                        stack.append(z)
-        key = (type(step), orbit[x])
+    for kind, x in steps:
+        key = (kind, orbit[x] if kind == _DELETE_SUBEDGE else first[x])
         if key not in met:
             met.add(key)
-            kept.append(step)
+            kept.append((kind, x))
     return kept
+
+
+def _named_step(kind: int, x: int, names) -> Step:
+    if kind == _DELETE_VERTEX:
+        return DeleteVertex(names[x])
+    if kind == _MERGE_ON:
+        return MergeOn(names[x])
+    return DeleteSubedge(frozenset([names[i] for i in _bits(x)]))
 
 
 def _new_states(
@@ -268,29 +314,59 @@ def _new_states(
     Yields ``(cert, parent, step)`` for each state not seen before, in
     discovery order; ``parent`` is the position of the parent among the
     states yielded so far, or -1 for h itself, whose certificate is ``cert``
-    and automorphism generators ``gens``.  Children below the size floor are
-    dropped, one step per orbit of each state's generators is expanded, and
-    expanding more than ``budget`` states raises, naming the sweep ``what``.
+    and index-space generators ``gens``.  Children below the size floor are
+    dropped, the steps of ``_mask_steps`` are expanded, and expanding more
+    than ``budget`` states raises, naming the sweep ``what``.
+
+    A state is its vertex names and a frozenset of edge masks over their
+    positions, so steps are bit operations: deleting or merging on vertex x
+    squeezes bit x out of every mask.  Each child is thus already in its own
+    order-preserving index form; one that repeats an index form met before
+    in this sweep has a certificate already seen and is skipped unlabelled.
+    Named steps are built only for the states yielded.
     """
+    names, (n, masks) = h._index_form
     seen = {cert}
-    queue: deque[tuple[Hypergraph, tuple, int]] = deque([(h, gens, -1)])
+    labelled = {(n, frozenset(masks))}
+    queue: deque[tuple] = deque([(names, frozenset(masks), gens, -1)])
     expanded = found = 0
     while queue:
-        state, gens, at = queue.popleft()
+        names, edges, gens, at = queue.popleft()
         expanded += 1
         if expanded > budget:
             raise BudgetExceededError(f"{what} exceeded {budget} expanded states")
-        for step in _orbit_steps(state, gens):
-            child = apply_step(state, step)
-            if len(child.vertices) < min_vertices or len(child.edges) < min_edges:
+        n = len(names)
+        for kind, x in _mask_steps(n, edges, gens):
+            if kind == _DELETE_SUBEDGE:
+                child, child_n = edges - {x}, n
+            else:
+                rest = edges
+                if kind == _MERGE_ON:
+                    bit, merged, rest = 1 << x, 0, []
+                    for e in edges:
+                        if e & bit:
+                            merged |= e
+                        else:
+                            rest.append(e)
+                    rest.append(merged)
+                low, high = (1 << x) - 1, -1 << x
+                child = frozenset([e & low | e >> 1 & high for e in rest])
+                child_n = n - 1
+            if child_n < min_vertices or len(child) < min_edges:
                 continue
-            cert, _, child_gens = _canonical(child, DEFAULT_ISO_BUDGET)
+            if (child_n, child) in labelled:
+                continue
+            labelled.add((child_n, child))
+            cert, _, child_gens = _canonical_index(
+                (child_n, tuple(sorted(child))), DEFAULT_ISO_BUDGET
+            )
             if cert in seen:
                 continue
             seen.add(cert)
-            queue.append((child, child_gens, found))
+            child_names = names if child_n == n else names[:x] + names[x + 1 :]
+            queue.append((child_names, child, child_gens, found))
             found += 1
-            yield cert, at, step
+            yield cert, at, _named_step(kind, x, names)
 
 
 def search_dilution(
@@ -307,7 +383,7 @@ def search_dilution(
     NP-hard in general, so the budget is the contract.
     """
     target_cert = canonical_form(h_target)
-    src_cert, _, src_gens = _canonical(h_src, DEFAULT_ISO_BUDGET)
+    src_cert, _, src_gens = _canonical_index(h_src._index_form[1], DEFAULT_ISO_BUDGET)
     if src_cert == target_cert:
         return DilutionSequence.for_source(h_src, ())
     min_vertices, min_edges = len(h_target.vertices), len(h_target.edges)
@@ -341,7 +417,7 @@ def reachable_dilutions(
     against one source in a single sweep.  Like ``search_dilution`` it
     expands one step per orbit of each state's automorphisms.
     """
-    start, _, start_gens = _canonical(h_src, DEFAULT_ISO_BUDGET)
+    start, _, start_gens = _canonical_index(h_src._index_form[1], DEFAULT_ISO_BUDGET)
     states = _new_states(
         h_src,
         start,

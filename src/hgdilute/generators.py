@@ -220,7 +220,7 @@ def random_hypergraph(
             if edge in edges:
                 continue
             edges.add(edge)
-            for v in edge:
+            for v in sorted(edge):  # not set order, which string hashing sets
                 degree[v] += 1
                 if v not in used:
                     used.append(v)

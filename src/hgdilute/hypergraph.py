@@ -21,12 +21,22 @@ Pruning only skips subtrees that are images of explored ones, so the
 certificate and the labelling are those of the unpruned search.  The
 certificate is also what search code uses to deduplicate states up to
 isomorphism, and the automorphisms let it skip symmetric steps.
+
+The labelling runs in index space: ``_canonical_index`` labels vertices
+``0..n-1`` whose edges are a sorted tuple of int masks, the *index form* a
+hypergraph gets by numbering its vertices in name order.  ``_cert_cache``
+is keyed on that form, so every hypergraph equal to another up to an
+order-preserving renaming shares its entry.  ``canonical_form``,
+``_canonical`` and ``isomorphic`` are thin wrappers that build the index form
+of a named hypergraph and carry labellings and automorphisms back to names;
+search code that keeps its states as masks calls the core directly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceededError, ConstructionError, InvalidInputError
 
@@ -87,6 +97,20 @@ class Hypergraph:
             return False
         types = [frozenset(s) for s in inc.values()]
         return len(set(types)) == len(types)
+
+    @cached_property
+    def _index_form(self) -> tuple[tuple[str, ...], tuple]:
+        """Sorted vertex names and the index form ``(n, masks)``.
+
+        Vertex ``names[i]`` is bit i, and ``masks`` is the sorted tuple of
+        edge masks.  Hypergraphs that match up to an order-preserving
+        renaming of their vertices have the same index form, the key of the
+        certificate cache; it is computed once per object.
+        """
+        names = sorted(self.vertices)
+        bit = {v: 1 << i for i, v in enumerate(names)}.__getitem__
+        masks = sorted([sum(map(bit, e)) for e in self.edges])
+        return tuple(names), (len(names), tuple(masks))
 
     def induced(self, keep) -> "Hypergraph":
         """Subhypergraph on ``keep``: every edge restricted, duplicates collapse."""
@@ -290,20 +314,36 @@ class IsoWitness:
         return frozenset(frozenset(m[v] for v in e) for e in h1.edges) == h2.edges
 
 
-_cert_cache: dict[Hypergraph, tuple] = {}
+#: canonical labellings of index forms: ``(n, masks)`` -> ``_canonical_index``
+_cert_cache: dict[tuple, tuple] = {}
 _CERT_CACHE_MAX = 1 << 18
 
 
 def canonical_form(h: Hypergraph, budget: int = DEFAULT_ISO_BUDGET):
     """Hashable canonical certificate of h, equal iff hypergraphs isomorphic."""
-    return _canonical(h, budget)[0]
+    return _canonical_index(h._index_form[1], budget)[0]
 
 
 def _canonical(h: Hypergraph, budget: int):
-    """``(certificate, labelling, generators)`` of h, cached per hypergraph.
+    """``(certificate, labelling, generators)`` of h in its vertex names.
 
     The labelling maps each vertex to its canonical position; the generators
-    are automorphisms of h (vertex-to-vertex dicts) found on the way.  The
+    are automorphisms of h (vertex-to-vertex dicts) found on the way.  Both
+    are ``_canonical_index``'s, carried through h's sorted vertex names.
+    """
+    names, key = h._index_form
+    cert, lab, gens = _canonical_index(key, budget)
+    labeling = dict(zip(names, lab))
+    generators = tuple({names[a]: names[b] for a, b in enumerate(g)} for g in gens)
+    return cert, labeling, generators
+
+
+def _canonical_index(key: tuple, budget: int):
+    """``(certificate, labelling, generators)`` of the index form ``key``.
+
+    ``key`` is ``(n, masks)`` as ``Hypergraph._index_form`` builds it, and
+    the result is cached under it.  ``labelling[i]`` is vertex i's canonical position, and
+    each generator is an automorphism as a tuple sending i to ``g[i]``.  The
     search tree individualises one vertex of the first non-singleton cell per
     level and refines; the certificate is the smallest edge set over the
     leaves, the labelling that of the first leaf reaching it.
@@ -319,17 +359,14 @@ def _canonical(h: Hypergraph, budget: int):
     first leaf reaching it can lie there: pruning changes no output, only the
     number of refinement nodes counted against ``budget``.
     """
-    cached = _cert_cache.get(h)
+    cached = _cert_cache.get(key)
     if cached is not None:
         return cached
-    verts = sorted(h.vertices)
-    n = len(verts)
-    vidx = {v: i for i, v in enumerate(verts)}
-    edges = [frozenset(vidx[v] for v in e) for e in h.edges]
+    n, masks = key
+    edges = [[i for i in range(n) if m >> i & 1] for m in masks]
     if n == 0:
-        cert = (0, tuple(sorted(tuple(sorted(e)) for e in edges)))
-        result = (cert, {}, ())
-        _cert_cache[h] = result
+        result = ((0, tuple(tuple(e) for e in edges)), (), ())
+        _cert_cache[key] = result
         return result
     inc: list[list[int]] = [[] for _ in range(n)]
     for ei, e in enumerate(edges):
@@ -437,12 +474,9 @@ def _canonical(h: Hypergraph, budget: int):
         return None
 
     descend([list(range(n))], [])
-    cert = (n, best[0])
-    labeling = {verts[i]: best[1][i] for i in range(n)}
-    generators = tuple({verts[a]: verts[b] for a, b in enumerate(g)} for g in gens)
-    result = (cert, labeling, generators)
+    result = ((n, best[0]), tuple(best[1]), tuple(tuple(g) for g in gens))
     if len(_cert_cache) < _CERT_CACHE_MAX:
-        _cert_cache[h] = result
+        _cert_cache[key] = result
     return result
 
 
@@ -475,12 +509,14 @@ def isomorphic(
     """
     if _iso_invariant(h1) != _iso_invariant(h2):
         return None
-    cert1, lab1, _ = _canonical(h1, budget)
-    cert2, lab2, _ = _canonical(h2, budget)
+    names1, key1 = h1._index_form
+    names2, key2 = h2._index_form
+    cert1, lab1, _ = _canonical_index(key1, budget)
+    cert2, lab2, _ = _canonical_index(key2, budget)
     if cert1 != cert2:
         return None
-    by_label = {lab: v for v, lab in lab2.items()}
-    mapping = tuple(sorted((v, by_label[lab]) for v, lab in lab1.items()))
+    by_label = dict(zip(lab2, names2))
+    mapping = tuple(zip(names1, [by_label[pos] for pos in lab1]))
     witness = IsoWitness(mapping)
     if not witness.check(h1, h2):  # pragma: no cover - canonical labeling bug
         raise ConstructionError("canonical labelings disagree with certificate")

@@ -12,9 +12,17 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+from hgdilute import hypergraph
 from hgdilute.acceptance import _sample as sample_hypergraph
 
 
 @pytest.fixture
 def rng():
     return random.Random(0xD17)
+
+
+@pytest.fixture
+def empty_cert_cache(monkeypatch):
+    """An empty certificate cache for the test, so that a refinement budget
+    it pins is charged in full: a cache hit never charges the budget."""
+    monkeypatch.setattr(hypergraph, "_cert_cache", {})

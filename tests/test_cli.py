@@ -1,6 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import hgdilute
 
 from hgdilute.cli import main
 from hgdilute.cq import evaluate, project
@@ -33,6 +39,23 @@ class TestGen:
         assert main(["gen", "--family", "grid", "-n", "2", "-m", "3", "-o", str(out)]) == 0
         h, _ = parse_hypergraph(out.read_text())
         assert len(h.vertices) == 6 and len(h.edges) == 7
+
+    def test_gen_random_independent_of_string_hashing(self):
+        src = str(pathlib.Path(hgdilute.__file__).parents[1])
+        argv = ["gen", "--family", "random", "--nv", "7", "--ne", "5", "--seed", "3"]
+        code = "import sys; from hgdilute.cli import main; sys.exit(main(sys.argv[1:]))"
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                env=env,
+                capture_output=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
 
     def test_gen_random_deterministic(self, tmp_path):
         a, b = tmp_path / "a.hg", tmp_path / "b.hg"

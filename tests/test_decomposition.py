@@ -297,6 +297,14 @@ class TestMinEdgeCover:
         else:
             assert min_edge_cover(h, bag) == want
 
+    def test_long_path_cover_needs_no_deep_recursion(self):
+        # every cover of a 1000-vertex path chains 500 edges along it
+        names = [f"p{i:04d}" for i in range(1000)]
+        h = Hypergraph.make(zip(names, names[1:]))
+        cover = min_edge_cover(h, h.vertices)
+        assert cover <= h.edges and frozenset().union(*cover) == h.vertices
+        assert len(cover) == 500  # each edge covers two of the 1000 vertices
+
 
 class TestSubsetDP:
     @given(small_hypergraphs())

@@ -2,10 +2,11 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgdilute.acceptance import _connected_graphs_upto, _degree2_corpus
+from hgdilute import dilution
 from hgdilute.dilution import (
     DeleteSubedge,
     DeleteVertex,
@@ -22,10 +23,18 @@ from hgdilute.dilution import (
     track_labels,
     valid_steps,
     verify_dilution,
-    _orbit_steps,
+    _mask_steps,
+    _named_step,
 )
 from hgdilute.errors import BudgetExceededError, InvalidStepError
-from hgdilute.hypergraph import Hypergraph, canonical_form, dual, is_connected, isomorphic
+from hgdilute.hypergraph import (
+    Hypergraph,
+    _canonical,
+    canonical_form,
+    dual,
+    is_connected,
+    isomorphic,
+)
 from hgdilute.formats import fig3_sequence
 from hgdilute.generators import grid, jigsaw, mesh, random_hypergraph
 
@@ -286,6 +295,63 @@ def search_sources(draw):
     return Hypergraph.make(draw(st.lists(edge, max_size=5)), verts)
 
 
+def orbit_steps(h, gens):
+    """``valid_steps(h)`` keeping only the first step of each orbit of the
+    named generators ``gens`` and no merge on a vertex of degree 1: the
+    reference the index-space step enumerator must reproduce."""
+    degree = dict.fromkeys(h.vertices, 0)
+    for e in h.edges:
+        for v in e:
+            degree[v] += 1
+    steps = [
+        s
+        for s in valid_steps(h)
+        if not (isinstance(s, MergeOn) and degree[s.vertex] == 1)
+    ]
+    if not gens:
+        return steps
+    orbit = {}  # vertex or edge -> first member of its orbit
+    kept, met = [], set()
+    for step in steps:
+        x = step.edge if isinstance(step, DeleteSubedge) else step.vertex
+        if x not in orbit:
+            orbit[x] = x
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for g in gens:
+                    z = frozenset([g[v] for v in y]) if type(y) is frozenset else g[y]
+                    if z not in orbit:
+                        orbit[z] = x
+                        stack.append(z)
+        key = (type(step), orbit[x])
+        if key not in met:
+            met.add(key)
+            kept.append(step)
+    return kept
+
+
+def mask_steps(h, gens):
+    """``_mask_steps`` on h's index form, generators and steps in h's names."""
+    names, (n, masks) = h._index_form
+    pos = {v: i for i, v in enumerate(names)}
+    index_gens = [[pos[g[v]] for v in names] for g in gens]
+    return [_named_step(k, x, names) for k, x in _mask_steps(n, masks, index_gens)]
+
+
+@st.composite
+def step_sources(draw):
+    """Up to 7 vertices, isolated ones allowed; empty and singleton edges
+    allowed.  Half carry an edge on every vertex, so that every other edge
+    is a deletable subedge."""
+    verts = sorted(draw(st.sets(st.sampled_from("abcdefg"))))
+    edge = st.sets(st.sampled_from(verts)) if verts else st.just(set())
+    edges = draw(st.lists(edge, max_size=7))
+    if draw(st.booleans()):
+        edges.append(verts)
+    return Hypergraph.make(edges, verts)
+
+
 class TestOrbitPruning:
     """The orbit-pruned searches against the unpruned ones kept here."""
 
@@ -336,8 +402,48 @@ class TestOrbitPruning:
         assert leaves
         for v in leaves:
             assert merge_on(src, v) == delete_vertex(src, v)
-        kept = _orbit_steps(src, ())
+        kept = mask_steps(src, ())
         assert kept == [s for s in valid_steps(src) if s not in map(MergeOn, leaves)]
+
+    @settings(max_examples=150)
+    @given(step_sources(), st.booleans(), st.lists(seeds, max_size=3))
+    @example(H("ad", "bc", "abcd"), False, [])  # edge_key is not mask order
+    @example(H("ab", "cd", "ac", "bd", "abcd"), False, [5])
+    def test_mask_steps_match_named_filter(self, h, automorphisms, perm_seeds):
+        verts = sorted(h.vertices)
+        if automorphisms:
+            gens = _canonical(h, 10**6)[2]
+        else:  # arbitrary permutations, automorphisms or not
+            gens = []
+            for seed in perm_seeds:
+                image = verts[:]
+                random.Random(seed).shuffle(image)
+                gens.append(dict(zip(verts, image)))
+        assert mask_steps(h, gens) == orbit_steps(h, gens)
+
+    @pytest.mark.parametrize(
+        "src, target",
+        [
+            (mesh(3, 3), jigsaw(2, 2)),
+            (mesh(3, 4), jigsaw(2, 3)),
+            (grid(3, 3), H("ab", "bc", "ca")),
+        ],
+        ids=["mesh33", "mesh34", "grid33"],
+    )
+    def test_each_child_labelled_once(self, monkeypatch, src, target):
+        keys = []
+        core = dilution._canonical_index
+
+        def recording_core(key, budget):
+            keys.append(key)
+            return core(key, budget)
+
+        monkeypatch.setattr(dilution, "_canonical_index", recording_core)
+        reachable_dilutions(src)
+        assert keys and len(keys) == len(set(keys))
+        keys.clear()
+        assert search_dilution(src, target) is not None
+        assert keys and len(keys) == len(set(keys))
 
     def test_degree2_corpus_matches_unpruned(self):
         """Reachable sets, searched sequences and least budgets on the degree-2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgdilute import hypergraph
 from hgdilute.errors import BudgetExceededError, InvalidInputError
 from hgdilute.hypergraph import (
     Hypergraph,
@@ -333,6 +334,7 @@ class TestCanonicalLabelling:
                 cert, lab, _ = _canonical(h, 10**6)
                 assert (cert, lab) == unpruned_canonical(h)
 
+    @pytest.mark.usefixtures("empty_cert_cache")
     def test_pinned_refinement_budget(self):
         # a Fano plane beside an 8-vertex 3-uniform circulant: refinement
         # cannot tell their vertices apart, and 44 refinement nodes are
@@ -364,11 +366,47 @@ class TestCanonicalLabelling:
             ("b4", 11), ("b5", 6), ("b6", 10),
         ]
 
+    @given(tiny_hypergraphs(), st.data())
+    def test_order_isomorphic_relabellings_share_an_entry(self, h, data):
+        order = data.draw(st.permutations(range(len(h.vertices))))
+        h = relabel(h, order, "u")
+        # an order-preserving renaming onto names of another shape
+        k = len(order)
+        slots = sorted(data.draw(st.sets(st.integers(0, 999), min_size=k, max_size=k)))
+        m = {v: f"z{s:03d}" for v, s in zip(sorted(h.vertices), slots)}
+        g = Hypergraph.make([{m[v] for v in e} for e in h.edges], m.values())
+        cert_h, lab_h, gens_h = _canonical(h, 10**6)
+        entries = len(hypergraph._cert_cache)
+        cert_g, lab_g, gens_g = _canonical(g, 10**6)
+        assert len(hypergraph._cert_cache) == entries  # g hit h's entry
+        assert g._index_form[1] == h._index_form[1]
+        assert (cert_h, lab_h) == unpruned_canonical(h)
+        assert (cert_g, lab_g) == unpruned_canonical(g)
+        assert lab_g == {m[v]: pos for v, pos in lab_h.items()}
+        assert gens_g == tuple({m[a]: m[b] for a, b in gen.items()} for gen in gens_h)
+
+    @pytest.mark.usefixtures("empty_cert_cache")
+    def test_named_hit_path_is_a_lookup(self, monkeypatch):
+        h = mesh(4, 4)
+        cert = canonical_form(h)
+        assert len(hypergraph._cert_cache) == 1
+
+        def named_labelling(*args):
+            raise AssertionError("hit path built a named labelling")
+
+        monkeypatch.setattr(hypergraph, "_canonical", named_labelling)
+        renamed = Hypergraph.make([{"q" + v for v in e} for e in h.edges])
+        for same in (h, Hypergraph.make(h.edges), renamed):
+            # budget 0: a hit explores no refinement node
+            assert canonical_form(same, budget=0) is cert
+        assert len(hypergraph._cert_cache) == 1
+
     def test_generators_of_symmetric_hosts_are_automorphisms(self):
         for h in (mesh(4, 4), dual(mesh(4, 5)), jigsaw(3, 4), grid(4, 4)):
             _, _, gens = _canonical(h, 10**6)
             assert gens and all(is_automorphism(g, h) for g in gens)
 
+    @pytest.mark.usefixtures("empty_cert_cache")
     @pytest.mark.parametrize("n", range(1, 7))
     def test_relabelled_meshes_within_small_budget(self, n):
         rnd = random.Random(n)
@@ -384,6 +422,7 @@ class TestCanonicalLabelling:
             w = isomorphic(a, b, budget=10**4)
             assert w is not None and w.check(a, b)
 
+    @pytest.mark.usefixtures("empty_cert_cache")
     @pytest.mark.parametrize("lengths", [(3, 4), (3, 3, 6), (4, 4, 8), (3, 3, 3, 4, 5)])
     def test_relabelled_cycle_unions(self, lengths):
         # every vertex looks alike to refinement, so the tree must branch
