@@ -54,6 +54,7 @@ from .decomposition import (
 from .minors import (
     ExpressiveMinorMap,
     MinorMap,
+    decide_dilution,
     expressive_from_minor,
     find_grid_minor,
     find_minor,

@@ -36,7 +36,6 @@ from .dilution import (
     DEFAULT_SEARCH_BUDGET,
     apply_sequence,
     reduce_hypergraph,
-    search_dilution,
     verify_dilution,
 )
 from .errors import (
@@ -48,6 +47,7 @@ from .errors import (
 from .generators import grid, jigsaw, mesh, random_hypergraph, subdivided_jigsaw
 from .hypergraph import Hypergraph, dual_with_map, primal_graph
 from .minors import (
+    decide_dilution,
     expressive_from_minor,
     find_grid_minor,
     jigsaw_from_grid_minor,
@@ -180,7 +180,7 @@ def _cmd_check_dilution(args) -> int:
         ok, _ = verify_dilution(src, seq, target)
         print("dilution: yes" if ok else "dilution: no")
         return EXIT_OK if ok else EXIT_NEGATIVE
-    seq = search_dilution(src, target, budget=args.budget)
+    seq = decide_dilution(src, target, budget=args.budget)
     if seq is None:
         print("dilution: no")
         return EXIT_NEGATIVE

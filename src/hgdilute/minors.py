@@ -19,12 +19,22 @@ random 12-vertex hosts in at most 0.23 s; on 14 and 16 vertices some still
 outgrow the default 1e6 attempts, which run out after at most 3.1 s (timed
 on a 2-core x86 machine).
 
-``jigsaw_from_grid_minor`` turns a grid minor of the dual of a degree-2
-hypergraph into an explicit dilution sequence onto the grid's dual, by merging
-each branch set's edge region along a spanning set of interior degree-2
-vertices and then restricting to the junction vertices shared between adjacent
-regions.  ``minor_from_dilution`` goes the other way, reading the branch sets
-off the edge-provenance labels of a verified sequence.
+Each plan of the search is built once and kept in a small cache keyed on
+the hypergraph: a pattern's placement order, position adjacency, certificate
+counts and fitting tables, and a host's masks, certificate counts and
+connected subsets.  Many patterns asked of one host, as in the degree-2
+sweep, then share one host plan, and each pattern is prepared once.
+
+``jigsaw_from_grid_minor`` turns a minor of any connected pattern graph g in
+the dual of a degree-2 hypergraph into an explicit dilution sequence onto
+the dual of g (a jigsaw when g is a grid), by merging each branch set's edge
+region along a spanning set of interior degree-2 vertices and then
+restricting to the junction vertices shared between adjacent regions.
+``minor_from_dilution`` goes the other way, reading the branch sets off the
+edge-provenance labels of a verified sequence.  ``decide_dilution`` puts the
+two halves of the paper's degree-2 lemma to work: on a host of degree at
+most 2 it decides a dilution onto the dual of a connected graph by a minor
+search in the dual of the reduced host.
 
 Expressive minor maps add an injective edge assignment whose inter-edge
 connectivity avoids all assigned edges; dualizing one produces a pre-jigsaw
@@ -36,6 +46,7 @@ onto the jigsaw by merging each region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .decomposition import (
     DEFAULT_TW_VERTEX_LIMIT,
@@ -44,6 +55,7 @@ from .decomposition import (
     _min_degree_width,
 )
 from .dilution import (
+    DEFAULT_SEARCH_BUDGET,
     DeleteSubedge,
     DeleteVertex,
     DilutionSequence,
@@ -51,6 +63,7 @@ from .dilution import (
     apply_sequence,
     delete_subedge,
     reduce_hypergraph,
+    search_dilution,
     track_labels,
     verify_dilution,
 )
@@ -168,19 +181,6 @@ def _circuit_rank(adj: list[int]) -> int:
     return _edge_count(adj) - len(adj) + len(pieces)
 
 
-def _wider(gadj: list[int], nbr: list[int]) -> bool:
-    """Whether the pattern's exact treewidth exceeds the host's min-degree
-    elimination bound.  The exact subset DP runs only when the pattern fits
-    it and its own min-degree bound lies above the host's."""
-    bound = _min_degree_width(nbr)
-    # a treewidth is at most the vertex count less one
-    if bound >= len(gadj) - 1 or len(gadj) > DEFAULT_TW_VERTEX_LIMIT:
-        return False
-    if _min_degree_width(gadj) <= bound:
-        return False
-    return _eliminate(gadj, int.bit_count)[0] - 1 > bound
-
-
 def _connected_subsets(nbr: list[int]) -> list[tuple[int, int, int]]:
     """Every connected vertex subset, each exactly once, as (mask,
     open-neighbourhood mask, size), for the vertices 0..n-1 with neighbour
@@ -208,6 +208,92 @@ def _connected_subsets(nbr: list[int]) -> list[tuple[int, int, int]]:
     return [(mask, around, size) for size, _, mask, around in keyed]
 
 
+class _Pattern:
+    """Search set-up of a connected pattern graph, built once per pattern.
+
+    ``names`` holds the vertices in placement order: breadth-first from the
+    least name, neighbours in name order.  ``adj`` is the adjacency by
+    position in that order, ``earlier[i]`` the placed neighbours of
+    position i, and ``fits[i]`` the (size, placed neighbours) of each piece
+    of the pattern left unplaced at depth i, the piece holding position i
+    first.  The treewidth is computed only when a certificate asks for it.
+    """
+
+    def __init__(self, g: Hypergraph):
+        _check_graph(g)
+        gnames = sorted(g.vertices)
+        gadj = _adjacency_masks({v: i for i, v in enumerate(gnames)}, g.edges)
+        order, seen = [0] if gnames else [], 1
+        for x in order:
+            fresh = gadj[x] & ~seen
+            seen |= fresh
+            while fresh:
+                b = fresh & -fresh
+                fresh ^= b
+                order.append(b.bit_length() - 1)
+        if len(order) < len(gnames):
+            raise InvalidInputError("pattern must be connected")
+        self.names = [gnames[x] for x in order]
+        self.adj = adj = _adjacency_masks(
+            {v: i for i, v in enumerate(self.names)}, g.edges
+        )
+        self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
+        n = len(adj)
+        self.earlier = [[j for j in range(i) if adj[i] >> j & 1] for i in range(n)]
+        self.fits = [
+            [
+                (piece.bit_count(), [j for j in range(i) if adj[j] & piece])
+                for piece in _mask_components(adj, (1 << n) - (1 << i))
+            ]
+            for i in range(n)
+        ]
+
+    @cached_property
+    def min_degree_width(self) -> int:
+        return _min_degree_width(self.adj)
+
+    @cached_property
+    def treewidth(self) -> int:
+        return _eliminate(self.adj, int.bit_count)[0] - 1
+
+
+class _Host:
+    """Search set-up of a host, shared by every pattern asked of it: sorted
+    names, neighbour masks (vertex i of ``names`` is bit i), edge count and
+    circuit rank; the min-degree elimination bound and the connected
+    subsets are built when a search first needs them."""
+
+    def __init__(self, host: Hypergraph):
+        self.names = names = sorted(host.vertices)
+        self.adj = adj = _adjacency_masks({v: i for i, v in enumerate(names)}, host.edges)
+        self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
+
+    @cached_property
+    def bound(self) -> int:
+        return _min_degree_width(self.adj)
+
+    @cached_property
+    def subsets(self) -> list[tuple[int, int, int]]:
+        return _connected_subsets(self.adj)
+
+
+# equal hypergraphs share a plan, so no caller may change one; a failed
+# build is not cached and raises again on every call
+_pattern = lru_cache(maxsize=64)(_Pattern)
+_host = lru_cache(maxsize=1)(_Host)
+
+
+def _wider(pattern: _Pattern, host: _Host) -> bool:
+    """Whether the pattern's exact treewidth exceeds the host's min-degree
+    elimination bound.  The exact subset DP runs only when the pattern fits
+    it and its own min-degree bound lies above the host's."""
+    n = len(pattern.adj)
+    # a treewidth is at most the vertex count less one
+    if host.bound >= n - 1 or n > DEFAULT_TW_VERTEX_LIMIT:
+        return False
+    return pattern.min_degree_width > host.bound and pattern.treewidth > host.bound
+
+
 def find_minor(
     g: Hypergraph,
     host: Hypergraph,
@@ -227,48 +313,22 @@ def find_minor(
     inside a region that fits its own piece.  These only cut branches
     without a completion, so the first model found is the unpruned search's.
     """
-    _check_graph(g)
-    gnames = sorted(g.vertices)
-    gadj = _adjacency_masks({v: i for i, v in enumerate(gnames)}, g.edges)
-    # breadth-first from the least vertex, neighbours in name order
-    order, seen = [0] if gnames else [], 1
-    for x in order:
-        fresh = gadj[x] & ~seen
-        seen |= fresh
-        while fresh:
-            b = fresh & -fresh
-            fresh ^= b
-            order.append(b.bit_length() - 1)
-    if len(order) < len(gnames):
-        raise InvalidInputError("pattern must be connected")
-    if len(gnames) > len(host.vertices):
+    pattern = _pattern(g)
+    if len(pattern.names) > len(host.vertices):
         return None
-    # pattern adjacency by position in the order
-    padj = _adjacency_masks({gnames[x]: i for i, x in enumerate(order)}, g.edges)
-    names = sorted(host.vertices)
-    nbr = _adjacency_masks({v: i for i, v in enumerate(names)}, host.edges)
+    plan = _host(host)
     # edge count, circuit rank and treewidth never grow under deletion or
     # contraction (Robertson & Seymour, Graph Minors): a pattern above the
     # host in any of them has no model; the cheapest come first
     if (
-        _edge_count(padj) > _edge_count(nbr)
-        or _circuit_rank(padj) > _circuit_rank(nbr)
-        or _wider(padj, nbr)
+        pattern.edges > plan.edges
+        or pattern.rank > plan.rank
+        or _wider(pattern, plan)
     ):
         return None
 
-    n = len(order)
-    earlier = [[j for j in range(i) if padj[i] >> j & 1] for i in range(n)]
-    # fits[i]: (size, placed neighbours) of each piece of the pattern left
-    # unplaced at depth i, the piece holding order[i] first
-    fits = [
-        [
-            (piece.bit_count(), [j for j in range(i) if padj[j] & piece])
-            for piece in _mask_components(padj, (1 << n) - (1 << i))
-        ]
-        for i in range(n)
-    ]
-    subsets = _connected_subsets(nbr)
+    n, names, nbr = len(pattern.names), plan.names, plan.adj
+    earlier, fits, subsets = pattern.earlier, pattern.fits, plan.subsets
     everything = (1 << len(names)) - 1
     attempts = 0
 
@@ -280,7 +340,7 @@ def find_minor(
         limit = free.bit_count() - (n - i - 1)
         # a piece fits a region (a connected piece of the free host) that has
         # room for it and touches the image of each of its placed neighbours;
-        # order[i] must go to a region that fits its own piece
+        # the vertex at depth i must go to a region that fits its own piece
         regions = _mask_components(nbr, free)
         for k, (size, touch) in enumerate(fits[i]):
             spot = room = 0
@@ -327,7 +387,7 @@ def find_minor(
     if model is None:
         return None
     sets = [{v for k, v in enumerate(names) if m >> k & 1} for m in model]
-    return MinorMap.of(dict(zip((gnames[x] for x in order), sets)))
+    return MinorMap.of(dict(zip(pattern.names, sets)))
 
 
 def extend_to_onto(g: Hypergraph, host: Hypergraph, mm: MinorMap) -> MinorMap:
@@ -415,11 +475,12 @@ def jigsaw_from_grid_minor(
 ) -> DilutionSequence:
     """Dilution sequence from degree-2 h onto the dual of g.
 
-    Requires an onto minor map of the connected graph g into the dual of the
-    reduced form of h, with branch sets named by that dual's vertex names.
-    The sequence reduces h, merges each branch set's edge region along an
-    interior spanning spine, and deletes everything but one junction vertex
-    per pattern edge.  The result is verified before returning.
+    g may be any connected graph, not only a grid.  Requires an onto minor
+    map of g into the dual of the reduced form of h, with branch sets named
+    by that dual's vertex names.  The sequence reduces h, merges each branch
+    set's edge region along an interior spanning spine, and deletes
+    everything but one junction vertex per pattern edge.  The result is
+    verified before returning.
     """
     _check_graph(g)
     if h.max_degree() > 2:
@@ -473,6 +534,68 @@ def jigsaw_from_grid_minor(
     ok, _ = verify_dilution(h, seq, dual(g))
     if not ok:
         raise ConstructionError("extracted sequence does not reach the dual pattern")
+    return seq
+
+
+def _dual_graph(t: Hypergraph) -> Hypergraph | None:
+    """The connected graph g on at least 3 vertices with dual(g) isomorphic
+    to t, read off as dual(t); None when t is no such dual."""
+    g = dual(t)
+    if len(g.vertices) < 3 or any(len(e) != 2 for e in g.edges):
+        return None
+    if not is_connected(g) or isomorphic(dual(g), t) is None:
+        return None
+    return g
+
+
+def decide_dilution(
+    h: Hypergraph, t: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET
+) -> DilutionSequence | None:
+    """A verified dilution sequence from h onto t, or None when there is none.
+
+    On a host of degree at most 2 the paper's degree-2 lemma answers:
+    for a connected graph g with at least 3 vertices, dual(g) is a dilution
+    of h iff g is a minor of dual(reduce(h)).  A target of larger degree is
+    no dilution, since no step raises a degree.  A target isomorphic to such
+    a dual(g) is decided by ``find_minor`` with ``budget`` placement
+    attempts; a found model is made onto and turned into a sequence by
+    ``jigsaw_from_grid_minor``.  A "no" of this route rests on the lemma,
+    which acceptance criterion 7 checks exhaustively on small hosts, plus
+    the complete minor search.  The route's sequence is verified, but it is
+    not the shortest.  Every other pair goes to ``search_dilution`` with
+    ``budget`` expanded states, which returns a shortest sequence.
+    """
+    if h.max_degree() <= 2:
+        if t.max_degree() > 2:
+            return None
+        g = _dual_graph(t)
+        if g is not None:
+            return _dilution_by_minor(h, g, t, budget)
+    return search_dilution(h, t, budget=budget)
+
+
+def _dilution_by_minor(
+    h: Hypergraph, g: Hypergraph, t: Hypergraph, budget: int
+) -> DilutionSequence | None:
+    h_red, seq = reduce_hypergraph(h)
+    d, edge_to_name = dual_with_map(h_red)
+    mm = find_minor(g, d, budget=budget)
+    if mm is None:
+        return None
+    # g is connected, so its model lies in one component of d.  The map must
+    # be made onto a connected dual, so the vertices of h_red outside that
+    # component's edges go first; the edges they empty collapse into one
+    # empty edge, which is dropped
+    used = frozenset().union(*mm.as_dict().values())
+    piece = next(c for c in components(d) if c & used)
+    kept = {v for e, name in edge_to_name.items() if name in piece for v in e}
+    steps = [DeleteVertex(v) for v in sorted(h_red.vertices - kept)]
+    h_piece = _apply_dropping_empty_edge(h_red, steps)
+    mm = extend_to_onto(g, dual(h_piece), mm)
+    seq = seq.then(steps).then(jigsaw_from_grid_minor(h_piece, g, mm).steps)
+    ok, _ = verify_dilution(h, seq, t)
+    if not ok:
+        raise ConstructionError("minor route does not reach the target")
     return seq
 
 

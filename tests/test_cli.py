@@ -154,6 +154,21 @@ class TestDilutionCommands:
         tgt.write_text("f1(a,b)\nf2(b,c)\nf3(a,c)\n")
         assert main(["check-dilution", str(src), str(tgt)]) == 1
 
+    def test_check_dilution_mesh_by_minor_route(self, tmp_path, mesh66):
+        # the BFS runs out of 1000 states on this pair (exit 3); the degree-2
+        # route needs 14 minor placement attempts
+        src = str(pathlib.Path(hgdilute.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys; from hgdilute.cli import main; sys.exit(main(sys.argv[1:]))"
+        j32, found = tmp_path / "j32.hg", tmp_path / "f.dseq"
+        assert main(["gen", "--family", "jigsaw", "-n", "3", "-m", "2", "-o", str(j32)]) == 0
+        common = [sys.executable, "-c", code, "check-dilution", str(mesh66), str(j32)]
+        for extra in (["--budget", "1000", "--seq-out", str(found)], ["--seq", str(found)]):
+            done = subprocess.run(
+                common + extra, env=env, capture_output=True, text=True, timeout=60
+            )
+            assert (done.returncode, done.stdout) == (0, "dilution: yes\n"), done.stderr
+
     def test_invalid_step_exit_2(self, tmp_path):
         src = tmp_path / "src.hg"
         src.write_text("e1(a,b)\n")

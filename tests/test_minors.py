@@ -5,21 +5,32 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hgdilute.acceptance as acceptance
+import hgdilute.minors as minors
+from hgdilute.acceptance import _connected_graphs_upto, _degree2_corpus
 from hgdilute.decomposition import _adjacency_masks
 from hgdilute.dilution import (
     DilutionSequence,
     MergeOn,
     apply_sequence,
+    reachable_dilutions,
     reduce_hypergraph,
     search_dilution,
     verify_dilution,
 )
 from hgdilute.errors import BudgetExceededError, ConstructionError, InvalidInputError
 from hgdilute.generators import grid, jigsaw, mesh, subdivided_jigsaw
-from hgdilute.hypergraph import Hypergraph, dual, dual_with_map, isomorphic
+from hgdilute.hypergraph import (
+    Hypergraph,
+    canonical_form,
+    dual,
+    dual_with_map,
+    isomorphic,
+)
 from hgdilute.minors import (
     ExpressiveMinorMap,
     MinorMap,
+    decide_dilution,
     expressive_from_minor,
     extend_to_onto,
     find_grid_minor,
@@ -34,6 +45,8 @@ from hgdilute.minors import (
     validate_prejigsaw,
     _circuit_rank,
     _edge_count,
+    _host,
+    _pattern,
     _wider,
 )
 
@@ -289,14 +302,14 @@ class TestAbsenceCertificates:
     @given(hosts_upto7(), patterns_upto5())
     @settings(max_examples=100)
     def test_larger_treewidth(self, host, g):
-        assume(_wider(masks(g), masks(host)))
+        assume(_wider(_pattern(g), _host(host)))
         assert not has_minor_by_branch_sets(g, host)
 
     def test_treewidth_is_exact_where_min_degree_is_loose(self):
         # min-degree elimination reads 4 on this pattern; its treewidth is 3
         g = H("ae", "bd", "ab", "bc", "df", "cd", "de", "cf", "af", "ce")
-        assert not _wider(masks(g), masks(grid(3, 3)))  # host bound 3
-        assert _wider(masks(g), masks(grid(2, 7)))  # host bound 2
+        assert not _wider(_pattern(g), _host(grid(3, 3)))  # host bound 3
+        assert _wider(_pattern(g), _host(grid(2, 7)))  # host bound 2
 
     def test_circuit_rank_counts_components(self):
         # two triangles and an isolated vertex: 6 - 7 + 3
@@ -357,6 +370,135 @@ class TestPinnedSearch:
         assert find_minor(grid(3, 3), host, budget=53772) is None
         with pytest.raises(BudgetExceededError, match="53771 placement attempts"):
             find_minor(grid(3, 3), host, budget=53771)
+
+
+class TestPreparedSearch:
+    """Patterns and hosts are prepared once and cached by value; no cached
+    plan may change an answer or hide an error."""
+
+    def answers(self, hosts):
+        return [
+            find_minor(g, host)
+            for host in hosts
+            for g in (grid(2, 2), grid(2, 3), H("ab", "bc", "ca"), H("ab"))
+        ]
+
+    def test_interleaved_hosts(self):
+        a, b = grid(3, 3), graph_dual(mesh(3, 4))
+        first = self.answers([a, b, a])
+        assert first[:4] == first[8:]
+        assert first == self.answers([a]) + self.answers([b]) + self.answers([a])
+
+    def test_equal_but_distinct_objects(self):
+        a = grid(3, 3)
+        copy = Hypergraph(frozenset(set(a.vertices)), frozenset(set(a.edges)))
+        assert copy == a and copy is not a
+        assert self.answers([a]) == self.answers([copy])
+
+    def test_after_cache_clear(self):
+        before = self.answers([grid(3, 3), graph_dual(mesh(3, 4))])
+        minors._pattern.cache_clear()
+        minors._host.cache_clear()
+        assert self.answers([grid(3, 3), graph_dual(mesh(3, 4))]) == before
+
+    @pytest.mark.parametrize(
+        "g,why",
+        [(H("abc", "cd"), "2-uniform"), (H("ab", "cd"), "connected")],
+        ids=["hyperedge", "disconnected"],
+    )
+    def test_bad_pattern_raises_every_call(self, g, why):
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match=why):
+                find_minor(g, grid(3, 3))
+
+
+def _renamed(h, tag):
+    return Hypergraph(
+        frozenset(tag + v for v in h.vertices),
+        frozenset(frozenset(tag + v for v in e) for e in h.edges),
+    )
+
+
+def _route_hosts():
+    """Criterion 7's quick corpus, plus hosts outside its reduced connected
+    class: a twin vertex, an isolated vertex, disjoint unions of two hosts."""
+    corpus = _degree2_corpus(max_h_edges=4, max_h_vertices=5)
+    hosts = list(corpus)
+    for h in corpus:
+        v = min(h.vertices)
+        hosts.append(Hypergraph.make([e | {"twin"} if v in e else e for e in h.edges]))
+        hosts.append(Hypergraph(h.vertices | {"lone"}, h.edges))
+    for a, b in itertools.combinations_with_replacement(corpus[::3], 2):
+        left, right = _renamed(a, "l"), _renamed(b, "r")
+        hosts.append(Hypergraph(left.vertices | right.vertices, left.edges | right.edges))
+    return hosts
+
+
+class TestDecideDilution:
+    """The degree-2 route against the BFS, and the pairs it leaves alone."""
+
+    def test_route_agrees_with_bfs(self, monkeypatch):
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("the route fell back to the BFS")
+
+        monkeypatch.setattr(minors, "search_dilution", no_bfs)
+        targets = [dual(g) for g in _connected_graphs_upto(4) if len(g.vertices) >= 3]
+        yes = 0
+        for h in _route_hosts():
+            assert h.max_degree() <= 2
+            reach = reachable_dilutions(h, budget=2 * 10**5)
+            for t in targets:
+                seq = decide_dilution(h, t)
+                assert (seq is not None) == (canonical_form(t) in reach), (h, t)
+                if seq is not None:
+                    yes += 1
+                    assert verify_dilution(h, seq, t)[0]
+        assert yes > 300
+
+    def test_degree_shortcut_does_not_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(minors, "search_dilution", no_search)
+        monkeypatch.setattr(minors, "find_minor", no_search)
+        star = H("ab", "ac", "ad")  # a has degree 3
+        assert decide_dilution(mesh(4, 4), star) is None
+        assert decide_dilution(H("ab", "bc"), star) is None
+
+    @pytest.mark.parametrize(
+        "h,t",
+        [
+            (mesh(3, 3), H("ab", "bc")),  # degree-1 vertices: no graph's dual
+            (mesh(3, 3), H("abd", "bc", "cad")),  # twins a, d: dual(dual(t)) is smaller
+            (H("a"), dual(H("uv"))),  # the two-vertex pattern's loop vertex
+            (mesh(2, 3), H("abc")),  # one edge: its dual has one vertex
+            (H("abc", "abd", "acd", "bcd"), jigsaw(2, 2)),  # host degree 3
+        ],
+        ids=["path", "twins", "loop", "one-edge", "degree-3-host"],
+    )
+    def test_other_pairs_are_search_dilution(self, h, t, monkeypatch):
+        def no_route(*args, **kwargs):
+            raise AssertionError("took the route")
+
+        monkeypatch.setattr(minors, "_dilution_by_minor", no_route)
+        assert decide_dilution(h, t) == search_dilution(h, t)
+
+    def test_mesh_to_jigsaw(self):
+        seq = decide_dilution(mesh(6, 6), jigsaw(3, 2), budget=14)
+        assert verify_dilution(mesh(6, 6), seq, jigsaw(3, 2))[0]
+        with pytest.raises(BudgetExceededError, match="13 placement attempts"):
+            decide_dilution(mesh(6, 6), jigsaw(3, 2), budget=13)
+        assert decide_dilution(mesh(6, 6), jigsaw(4, 4)) is None
+
+    def test_criterion_7_never_runs_the_route(self, monkeypatch, rng):
+        def no_route(*args, **kwargs):
+            raise AssertionError("criterion 7 ran the route")
+
+        for name in ("decide_dilution", "_dilution_by_minor"):
+            monkeypatch.setattr(minors, name, no_route)
+            monkeypatch.setattr(acceptance, name, no_route, raising=False)
+        passed, detail = acceptance.criterion_7_degree2_equivalence(rng, quick=True)
+        assert passed, detail
 
 
 class TestJigsawExtraction:
