@@ -23,6 +23,14 @@ has met before is skipped before any labelling, and named ``Step`` values are
 built only for the states the sweep yields.  The named step functions below
 (``apply_step``, ``valid_steps``) are the public API and the reference the
 mask steps are tested against.
+
+What is reachable depends only on the isomorphism class, so
+``reachable_dilutions`` sweeps certificates and keeps a process-wide memo,
+``_reach_memo``, from a certificate to the certificates of its children,
+capped like the certificate cache at ``_CERT_CACHE_MAX`` entries.  A sweep
+that meets a certificate another sweep expanded reads its children there.
+The budget still counts the states the sweep takes from its queue, so
+answers and least budgets do not depend on what the memo holds.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .errors import (
     InvalidStepError,
 )
 from .hypergraph import (
+    _CERT_CACHE_MAX,
     DEFAULT_ISO_BUDGET,
     Hypergraph,
     IsoWitness,
@@ -46,6 +55,10 @@ from .hypergraph import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10**5
+
+#: child certificates of each state ``reachable_dilutions`` has expanded:
+#: certificate -> certificates of all its children, size floors not applied
+_reach_memo: dict[tuple, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -300,14 +313,33 @@ def _named_step(kind: int, x: int, names) -> Step:
     return DeleteSubedge(frozenset([names[i] for i in _bits(x)]))
 
 
+def _children(n: int, edges, gens):
+    """The children of the state on vertices ``0..n-1`` with edge masks
+    ``edges``, along the steps of ``_mask_steps`` in its order: yields
+    ``(kind, x, child_n, child)``, the child a frozenset of edge masks.
+
+    Deleting or merging on vertex x squeezes bit x out of every mask, so
+    each child is already in its own order-preserving index form.
+    """
+    for kind, x in _mask_steps(n, edges, gens):
+        if kind == _DELETE_SUBEDGE:
+            yield kind, x, n, edges - {x}
+            continue
+        rest = edges
+        if kind == _MERGE_ON:
+            bit, merged, rest = 1 << x, 0, []
+            for e in edges:
+                if e & bit:
+                    merged |= e
+                else:
+                    rest.append(e)
+            rest.append(merged)
+        low, high = (1 << x) - 1, -1 << x
+        yield kind, x, n - 1, frozenset([e & low | e >> 1 & high for e in rest])
+
+
 def _new_states(
-    h: Hypergraph,
-    cert: tuple,
-    gens,
-    budget: int,
-    what: str,
-    min_vertices: int,
-    min_edges: int,
+    h: Hypergraph, cert: tuple, gens, budget: int, min_vertices: int, min_edges: int
 ):
     """Breadth-first sweep of the states reachable from h by dilution.
 
@@ -315,15 +347,13 @@ def _new_states(
     discovery order; ``parent`` is the position of the parent among the
     states yielded so far, or -1 for h itself, whose certificate is ``cert``
     and index-space generators ``gens``.  Children below the size floor are
-    dropped, the steps of ``_mask_steps`` are expanded, and expanding more
-    than ``budget`` states raises, naming the sweep ``what``.
+    dropped, the children come from ``_children``, and expanding more than
+    ``budget`` states raises.
 
     A state is its vertex names and a frozenset of edge masks over their
-    positions, so steps are bit operations: deleting or merging on vertex x
-    squeezes bit x out of every mask.  Each child is thus already in its own
-    order-preserving index form; one that repeats an index form met before
-    in this sweep has a certificate already seen and is skipped unlabelled.
-    Named steps are built only for the states yielded.
+    positions.  A child that repeats an index form met before in this sweep
+    has a certificate already seen and is skipped unlabelled.  Named steps
+    are built only for the states yielded.
     """
     names, (n, masks) = h._index_form
     seen = {cert}
@@ -334,24 +364,11 @@ def _new_states(
         names, edges, gens, at = queue.popleft()
         expanded += 1
         if expanded > budget:
-            raise BudgetExceededError(f"{what} exceeded {budget} expanded states")
+            raise BudgetExceededError(
+                f"dilution search exceeded {budget} expanded states"
+            )
         n = len(names)
-        for kind, x in _mask_steps(n, edges, gens):
-            if kind == _DELETE_SUBEDGE:
-                child, child_n = edges - {x}, n
-            else:
-                rest = edges
-                if kind == _MERGE_ON:
-                    bit, merged, rest = 1 << x, 0, []
-                    for e in edges:
-                        if e & bit:
-                            merged |= e
-                        else:
-                            rest.append(e)
-                    rest.append(merged)
-                low, high = (1 << x) - 1, -1 << x
-                child = frozenset([e & low | e >> 1 & high for e in rest])
-                child_n = n - 1
+        for kind, x, child_n, child in _children(n, edges, gens):
             if child_n < min_vertices or len(child) < min_edges:
                 continue
             if (child_n, child) in labelled:
@@ -391,9 +408,7 @@ def search_dilution(
         return None
     # trail[i] is (parent position, step) of the i-th state found
     trail: list[tuple[int, Step]] = []
-    states = _new_states(
-        h_src, src_cert, src_gens, budget, "dilution search", min_vertices, min_edges
-    )
+    states = _new_states(h_src, src_cert, src_gens, budget, min_vertices, min_edges)
     for cert, at, step in states:
         if cert == target_cert:
             steps = [step]
@@ -414,20 +429,59 @@ def reachable_dilutions(
     """Canonical forms of every hypergraph reachable by dilution from h_src.
 
     Exhaustive up to the size floor; used to answer many containment queries
-    against one source in a single sweep.  Like ``search_dilution`` it
-    expands one step per orbit of each state's automorphisms.
+    against one source in a single sweep.  The sweep is breadth-first over
+    certificates.  A state is expanded as in ``search_dilution``, one step
+    per orbit of its automorphisms, from the index form and generators it
+    was labelled with.  Once its expansion has finished, the certificates of
+    all its children, before any size floor, go into the process-wide,
+    capped ``_reach_memo`` under its certificate; a later sweep from any
+    source that meets the certificate reads them there instead, and applies
+    its own floors.  A certificate met only in a memo entry and without an
+    entry of its own is expanded from its own index form.  The budget still
+    counts states, one per certificate taken from the queue, so the result
+    and the least budget that succeeds (the size of the result) are the same
+    whether the memo is warm or cold.
     """
-    start, _, start_gens = _canonical_index(h_src._index_form[1], DEFAULT_ISO_BUDGET)
-    states = _new_states(
-        h_src,
-        start,
-        start_gens,
-        budget,
-        "dilution reachability",
-        min_vertices,
-        min_edges,
-    )
-    return {start, *(cert for cert, _, _ in states)}
+    n, masks = h_src._index_form[1]
+    start, _, gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
+    seen = {start}
+    labelled = {(n, frozenset(masks)): start}  # index form -> certificate
+    # a state carries the index form and generators it was labelled with,
+    # or None when it was met only in a memo entry
+    queue: deque[tuple] = deque([(start, (n, frozenset(masks), gens))])
+    expanded = 0
+    while queue:
+        cert, form = queue.popleft()
+        expanded += 1
+        if expanded > budget:
+            raise BudgetExceededError(
+                f"dilution reachability exceeded {budget} expanded states"
+            )
+        children = _reach_memo.get(cert)
+        forms: dict[tuple, tuple] = {}  # child certificate -> its first form
+        if children is None:
+            if form is None:  # expand the certificate's own index form
+                n, masks = cert[0], sorted([sum([1 << i for i in e]) for e in cert[1]])
+                gens = _canonical_index((n, tuple(masks)), DEFAULT_ISO_BUDGET)[2]
+                form = (n, frozenset(masks), gens)
+            certs = []
+            for _, _, child_n, child in _children(*form):
+                c = labelled.get((child_n, child))
+                if c is None:
+                    c, _, child_gens = _canonical_index(
+                        (child_n, tuple(sorted(child))), DEFAULT_ISO_BUDGET
+                    )
+                    labelled[child_n, child] = c
+                    forms.setdefault(c, (child_n, child, child_gens))
+                certs.append(c)
+            children = tuple(dict.fromkeys(certs))
+            if len(_reach_memo) < _CERT_CACHE_MAX:
+                _reach_memo[cert] = children
+        for c in children:
+            if c not in seen and c[0] >= min_vertices and len(c[1]) >= min_edges:
+                seen.add(c)
+                queue.append((c, forms.get(c)))
+    return seen
 
 
 # -- label tracking ----------------------------------------------------------

@@ -12,7 +12,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-from hgdilute import hypergraph
+from hgdilute import dilution, hypergraph
 from hgdilute.acceptance import _sample as sample_hypergraph
 
 
@@ -23,6 +23,9 @@ def rng():
 
 @pytest.fixture
 def empty_cert_cache(monkeypatch):
-    """An empty certificate cache for the test, so that a refinement budget
-    it pins is charged in full: a cache hit never charges the budget."""
+    """An empty certificate cache and reachability memo for the test, so that
+    a refinement budget it pins is charged in full (a cache hit never charges
+    the budget) and a reachability sweep labels every state it meets instead
+    of reading its children from an earlier sweep."""
     monkeypatch.setattr(hypergraph, "_cert_cache", {})
+    monkeypatch.setattr(dilution, "_reach_memo", {})

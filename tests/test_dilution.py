@@ -1,5 +1,7 @@
+import itertools
 import random
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -430,6 +432,7 @@ class TestOrbitPruning:
         ],
         ids=["mesh33", "mesh34", "grid33"],
     )
+    @pytest.mark.usefixtures("empty_cert_cache")
     def test_each_child_labelled_once(self, monkeypatch, src, target):
         keys = []
         core = dilution._canonical_index
@@ -457,6 +460,79 @@ class TestOrbitPruning:
                 reachable_dilutions(h, budget=len(reach) - 1)
             for target in targets:
                 assert_search_matches_oracle(h, target)
+
+
+@contextmanager
+def fresh_memo(cap=None):
+    """An empty reachability memo, capped at ``cap`` entries when given."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dilution, "_reach_memo", {})
+        if cap is not None:
+            mp.setattr(dilution, "_CERT_CACHE_MAX", cap)
+        yield mp
+
+
+def assert_reach(h, reach, min_vertices=0, min_edges=0):
+    """The sweep returns ``reach``, which is also its least budget."""
+    assert reachable_dilutions(h, len(reach), min_vertices, min_edges) == reach
+    message = f"^dilution reachability exceeded {len(reach) - 1} expanded states$"
+    with pytest.raises(BudgetExceededError, match=message):
+        reachable_dilutions(h, len(reach) - 1, min_vertices, min_edges)
+
+
+class TestReachMemo:
+    """Sweeps that share the certificate-keyed memo, in every order that lets
+    one read entries another wrote, against the unpruned sweep."""
+
+    @given(search_sources(), seeds, st.sampled_from([None, 0, 2]))
+    def test_source_and_state_in_either_order(self, h, seed, cap):
+        s = random_valid_sequence(h, random.Random(seed), max_steps=5)[1]
+        reach = {h: unpruned_reachable(h), s: unpruned_reachable(s)}
+        for order in ((h, s), (s, h)):
+            with fresh_memo(cap):
+                for x in order:
+                    assert_reach(x, reach[x])
+
+    @given(search_sources(), st.integers(1, 4), st.integers(0, 3))
+    def test_floored_and_full_sweeps(self, h, min_vertices, min_edges):
+        full = unpruned_reachable(h)
+        floored = unpruned_reachable(h, min_vertices, min_edges)
+        with fresh_memo():
+            assert_reach(h, floored, min_vertices, min_edges)
+            assert_reach(h, full)
+        with fresh_memo():
+            assert_reach(h, full)
+            assert_reach(h, floored, min_vertices, min_edges)
+
+    @given(search_sources(), st.data())
+    def test_full_sweep_after_one_that_raised(self, h, data):
+        reach = unpruned_reachable(h)
+        with fresh_memo():
+            budget = data.draw(st.integers(0, len(reach) - 1))
+            with pytest.raises(BudgetExceededError):
+                reachable_dilutions(h, budget)
+            assert_reach(h, reach)
+
+    @given(search_sources(), st.integers(1, 40))
+    def test_full_sweep_after_an_interrupted_expansion(self, h, calls):
+        # labelling raises on its ``calls``-th call, part-way through an
+        # expansion, so no entry of that expansion may have been written
+        core, count = dilution._canonical_index, itertools.count(1)
+
+        def failing_core(key, budget):
+            if next(count) == calls:
+                raise BudgetExceededError("labelling interrupted")
+            return core(key, budget)
+
+        reach = unpruned_reachable(h)
+        with fresh_memo() as mp:
+            mp.setattr(dilution, "_canonical_index", failing_core)
+            try:
+                reachable_dilutions(h)
+            except BudgetExceededError:
+                pass
+            mp.setattr(dilution, "_canonical_index", core)
+            assert_reach(h, reach)
 
 
 class TestLabels:
