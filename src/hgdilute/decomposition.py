@@ -16,18 +16,21 @@ covered vertices (vertices in no edge never need a bag).
 The minimum is the exact subset dynamic program of Bodlaender, Fomin, Koster,
 Kratsch and Thilikos (On exact algorithms for treewidth, ACM TALG 2012), run
 on ints: the sorted vertices are indexed once, a vertex set is a bit mask,
-the primal adjacency is one mask per vertex, and the table over all 2^n
-eliminated sets is a flat list filled from the full set down to the empty
-one, with no recursion.  An elimination bag is a flood through the
-eliminated set whose every step is three table lookups.  The cover number of
-a bag mask is memoised per mask, and each witness cover is read off that
-memo: the edges are walked in ``edge_key`` order and an edge is kept when it
-meets what is left of the bag and lowers its cover number by one, which
-yields the lexicographically-first minimum cover.  ``min_edge_cover`` is the
-same readout on a memo of its own.  Ties go to the smallest vertex name, so
-the witness is a function of the input alone.  Time and memory grow as
-2^n in the covered vertices, hence the hard input limits; the number of
-edges needs no limit of its own.
+and the primal adjacency is one mask per vertex.  The recurrence over
+eliminated sets is evaluated top down from the empty set with a cutoff at
+the best order found so far, memoised in dicts, so a set that cannot beat
+that order is never expanded: most inputs visit a few percent of the 2^n
+sets, and the recursion is at most one frame per vertex deep.  An
+elimination bag is a flood through the eliminated set whose every step is
+three table lookups.  The cover number of a bag mask is memoised per mask,
+and each witness cover is read off that memo: the edges are walked in
+``edge_key`` order and an edge is kept when it meets what is left of the bag
+and lowers its cover number by one, which yields the lexicographically-first
+minimum cover.  ``min_edge_cover`` is the same readout on a memo of its
+own.  Ties go to the smallest vertex name, so the witness is a function of
+the input alone.  In the worst case time and memory still grow as 2^n in
+the covered vertices, hence the hard input limits; the number of edges
+needs no limit of its own.
 """
 
 from __future__ import annotations
@@ -192,13 +195,21 @@ def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
     """Elimination order minimising the max bag cost, by a subset DP on masks.
 
     best[P] is the least max bag cost of eliminating the rest once the set P
-    is gone; masks run from the full set down to 0, so every superset comes
-    first.  The bag of v after P is v plus the vertices outside P that v
-    reaches through P.  Vertices are tried in index order and only a strictly
-    smaller cost replaces the running choice, so the choice kept for P is the
-    least (cost, index); a vertex with best[P | v] already at the running
-    minimum cannot beat it and costs no bag.  The order follows the kept
-    choices from P = 0.  Returns the width, the order and the order's bags.
+    is gone: the least over v outside P of max(cost of v's bag, best[P | v]).
+    The bag of v after P is v plus the vertices outside P that v reaches
+    through P.  The recurrence is evaluated top down from P = 0 and memoised:
+    ``solve(P, k)`` returns best[P] when it is below the cutoff k, and k
+    otherwise, when it records k as a lower bound for P.  Vertices are tried
+    in index order; one whose bag alone costs the running value is skipped,
+    the rest recurse with the running value as the cutoff, and only a
+    strictly smaller cost replaces the running choice.  So whenever best[P]
+    is below the cutoff, the choice kept for P is the least (cost, index),
+    the one a fill of all 2^n sets keeps, and a set that cannot beat the
+    best order found so far is never expanded.  The root cutoff is above
+    any bag cost, so best[0] is exact, and so is best at each set the kept
+    choices lead to; the order follows them from P = 0.  The recursion is at
+    most n + 1 frames deep.  The worst case still visits all 2^n sets.
+    Returns the width, the order and the order's bags.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -208,17 +219,18 @@ def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
     w2, low = 2 * w, (1 << w) - 1
     t0, t1, t2 = (_union_table(adj[lo : lo + w]) for lo in (0, w, w2))
     bits = [(v, 1 << v) for v in range(n)]
-    best = [0] * (full + 1)
-    best[full] = -1
-    pick = [0] * (full + 1)
-    pick_bag = [0] * (full + 1)
-    for P in range(full - 1, -1, -1):
-        value = n + 1  # above any bag cost
+    best = {full: -1}  # exact values
+    floor: dict[int, int] = {}  # best[P] >= floor[P]
+    pick: dict[int, tuple[int, int]] = {}  # the kept (vertex, bag) at P
+
+    def solve(P: int, k: int) -> int:
+        if P in best:
+            return min(best[P], k)
+        if floor.get(P, 0) >= k:
+            return k
+        value = k
         for v, b in bits:
             if P & b:
-                continue
-            after = best[P | b]
-            if after >= value:
                 continue
             bag = adj[v]
             reach = bag & P
@@ -232,22 +244,31 @@ def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
                 bag = (bag | around) & ~P
             bag |= b
             c = cost(bag)
+            if c >= value:
+                continue
+            after = solve(P | b, value)
             if c < after:
                 c = after
             if c < value:
-                value, chosen, chosen_bag = c, v, bag
-        best[P] = value
-        pick[P] = chosen
-        pick_bag[P] = chosen_bag
+                value, chosen = c, (v, bag)
+        if value < k:
+            best[P] = value
+            pick[P] = chosen
+        else:
+            floor[P] = k
+        return value
 
+    width = solve(0, n + 1)  # above any bag cost
+    del solve  # the closure refers to itself; drop the cycle with the memo
     order: list[int] = []
     bags: list[int] = []
     P = 0
     while P != full:
-        order.append(pick[P])
-        bags.append(pick_bag[P])
-        P |= 1 << pick[P]
-    return best[0], order, bags
+        v, bag = pick[P]
+        order.append(v)
+        bags.append(bag)
+        P |= 1 << v
+    return width, order, bags
 
 
 def _min_degree_width(adj: list[int]) -> int:

@@ -285,8 +285,9 @@ _host = lru_cache(maxsize=1)(_Host)
 
 def _wider(pattern: _Pattern, host: _Host) -> bool:
     """Whether the pattern's exact treewidth exceeds the host's min-degree
-    elimination bound.  The exact subset DP runs only when the pattern fits
-    it and its own min-degree bound lies above the host's."""
+    elimination bound.  The exact subset DP, cut off at its running optimum
+    but 2^n in the worst case, runs only when the pattern fits the
+    treewidth limit and its own min-degree bound lies above the host's."""
     n = len(pattern.adj)
     # a treewidth is at most the vertex count less one
     if host.bound >= n - 1 or n > DEFAULT_TW_VERTEX_LIMIT:

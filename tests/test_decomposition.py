@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 import sys
 
@@ -362,6 +364,149 @@ class TestSubsetDP:
             [["h1_1", "v1_1"], ["h1_1", "v1_2"]],
             [["h1_1", "v1_2"]],
         ]
+
+
+def oracle_eliminate(adj, cost):
+    """The bottom-up subset DP over all 2^n sets, kept as the oracle."""
+    _union_table = decomposition._union_table
+    n = len(adj)
+    full = (1 << n) - 1
+    # the union of adj over a mask is three lookups, one per block of at
+    # most w vertex indices
+    w = max(1, -(-n // 3))
+    w2, low = 2 * w, (1 << w) - 1
+    t0, t1, t2 = (_union_table(adj[lo : lo + w]) for lo in (0, w, w2))
+    bits = [(v, 1 << v) for v in range(n)]
+    best = [0] * (full + 1)
+    best[full] = -1
+    pick = [0] * (full + 1)
+    pick_bag = [0] * (full + 1)
+    for P in range(full - 1, -1, -1):
+        value = n + 1  # above any bag cost
+        for v, b in bits:
+            if P & b:
+                continue
+            after = best[P | b]
+            if after >= value:
+                continue
+            bag = adj[v]
+            reach = bag & P
+            if reach:
+                while True:
+                    around = t0[reach & low] | t1[reach >> w & low] | t2[reach >> w2]
+                    grown = reach | around & P
+                    if grown == reach:
+                        break
+                    reach = grown
+                bag = (bag | around) & ~P
+            bag |= b
+            c = cost(bag)
+            if c < after:
+                c = after
+            if c < value:
+                value, chosen, chosen_bag = c, v, bag
+        best[P] = value
+        pick[P] = chosen
+        pick_bag[P] = chosen_bag
+
+    order: list[int] = []
+    bags: list[int] = []
+    P = 0
+    while P != full:
+        order.append(pick[P])
+        bags.append(pick_bag[P])
+        P |= 1 << pick[P]
+    return best[0], order, bags
+
+
+def elimination_cases(h):
+    """(adj, fresh cost) pairs as exact_treewidth and exact_ghw build them."""
+    index = {v: i for i, v in enumerate(sorted(h.vertices))}
+    yield decomposition._adjacency_masks(index, h.edges), lambda: int.bit_count
+    covered = {v: i for i, v in enumerate(sorted({v for e in h.edges for v in e}))}
+    edges = sorted(h.edges, key=edge_key)
+    masks = [decomposition._mask(covered, e) for e in edges]
+    yield decomposition._adjacency_masks(covered, edges), lambda: (
+        decomposition._CoverNumbers(masks, len(covered)).__getitem__
+    )
+
+
+def assert_matches_oracle(h):
+    for adj, fresh_cost in elimination_cases(h):
+        assert decomposition._eliminate(adj, fresh_cost()) == oracle_eliminate(
+            adj, fresh_cost()
+        )
+
+
+WIDTH_CORPUS = pathlib.Path(__file__).parents[1] / "perfbench" / "width_corpus.json"
+
+
+def width_corpus():
+    data = json.loads(WIDTH_CORPUS.read_text())
+    return [
+        Hypergraph.make(d["edges"], d["vertices"])
+        for kind in ("treewidth", "ghw")
+        for d in data[kind]
+    ]
+
+
+def sixteen_vertex_graphs():
+    names = [f"v{i:02d}" for i in range(16)]
+    ring = list(zip(names, names[1:] + names[:1]))
+    return {
+        "empty": Hypergraph.make([], names),
+        "complete": Hypergraph.make(itertools.combinations(names, 2)),
+        "path": Hypergraph.make(ring[:-1]),
+        "cycle": Hypergraph.make(ring),
+        "grid44": grid(4, 4),
+    }
+
+
+class TestEliminateMatchesOracle:
+    """The cut-off top-down DP keeps the full DP's width, order and bags."""
+
+    @given(small_hypergraphs())
+    @settings(max_examples=100)
+    def test_small_hypergraphs(self, h):
+        assert_matches_oracle(h)
+
+    def test_width_corpus(self):
+        graphs = width_corpus()
+        assert len(graphs) == 50
+        for h in graphs:
+            assert_matches_oracle(h)
+
+    @pytest.mark.parametrize("name", sorted(sixteen_vertex_graphs()))
+    def test_sixteen_vertices(self, name):
+        assert_matches_oracle(sixteen_vertex_graphs()[name])
+
+    @given(seeds)
+    @example(5)  # a stored lower bound one above the true one changes this
+    @settings(max_examples=200)
+    def test_any_bag_cost(self, seed):
+        # nothing in the cutoff needs a monotone cost, only one below n + 1
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        adj = [0] * n
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        cost = [rng.randint(0, n) for _ in range(1 << n)].__getitem__
+        assert decomposition._eliminate(adj, cost) == oracle_eliminate(adj, cost)
+
+    def test_cutoff_prunes_grid44(self):
+        # the full DP costs 178,914 bags on grid(4,4); the cutoff skips most
+        adj, _ = next(elimination_cases(grid(4, 4)))
+        calls = 0
+
+        def counting(bag):
+            nonlocal calls
+            calls += 1
+            return bag.bit_count()
+
+        assert decomposition._eliminate(adj, counting)[0] == 5
+        assert calls < 2**15
 
 
 def min_degree_width(h):
