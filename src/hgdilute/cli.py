@@ -45,12 +45,12 @@ from .errors import (
     ParseError,
 )
 from .generators import grid, jigsaw, mesh, random_hypergraph, subdivided_jigsaw
-from .hypergraph import Hypergraph, dual_with_map, primal_graph
+from .hypergraph import Hypergraph, dual, dual_with_map, primal_graph
 from .minors import (
     decide_dilution,
     expressive_from_minor,
-    find_grid_minor,
     jigsaw_from_grid_minor,
+    minor_piece,
     prejigsaw_from_expressive_minor,
 )
 
@@ -215,13 +215,13 @@ def _cmd_jigsaw_extract(args) -> int:
     h, _ = _load_hypergraph(args.hypergraph)
     if h.max_degree() > 2:
         raise InvalidInputError("jigsaw extraction needs degree at most 2")
-    h_red, _ = reduce_hypergraph(h)
-    d, _ = dual_with_map(h_red)
-    mm = find_grid_minor(d, args.n, budget=args.budget)
-    if mm is None:
+    g = grid(args.n, args.n)
+    found = minor_piece(h, g, args.budget)
+    if found is None:
         print(f"no {args.n}x{args.n} grid minor in the dual")
         return EXIT_NEGATIVE
-    seq = jigsaw_from_grid_minor(h, grid(args.n, args.n), mm)
+    seq, piece, mm = found
+    seq = seq.then(jigsaw_from_grid_minor(piece, g, mm).steps)
     print(f"dilutes to the {args.n}x{args.n} jigsaw in {len(seq.steps)} steps")
     if args.seq_out:
         _emit(formats.write_sequence(seq, fmt=args.format), args.seq_out)
@@ -235,20 +235,25 @@ def _cmd_prejigsaw_extract(args) -> int:
     h_red, _ = reduce_hypergraph(h)
     d, _ = dual_with_map(h_red)
     if args.witness_in:
+        # a witness file names its maps by the dual of the reduced host
         emm = formats.parse_expressive(
             _read(args.witness_in), formats.auto_edge_names(d)
         )
+        seq, witness = prejigsaw_from_expressive_minor(h, args.n, emm)
     else:
         if d.rank() > 2:
             raise InvalidInputError(
                 "dual rank exceeds 2; provide an expressive-minor witness file"
             )
-        mm = find_grid_minor(d, args.n, budget=args.budget)
-        if mm is None:
+        g = grid(args.n, args.n)
+        found = minor_piece(h, g, args.budget)
+        if found is None:
             print(f"no {args.n}x{args.n} grid minor in the dual")
             return EXIT_NEGATIVE
-        emm = expressive_from_minor(grid(args.n, args.n), d, mm)
-    seq, witness = prejigsaw_from_expressive_minor(h, args.n, emm)
+        to_piece, piece, mm = found
+        emm = expressive_from_minor(g, dual(piece), mm)
+        seq, witness = prejigsaw_from_expressive_minor(piece, args.n, emm)
+        seq = to_piece.then(seq.steps)
     result = apply_sequence(h, seq)
     print(
         f"dilutes to a {args.n}x{args.n} pre-jigsaw with "

@@ -443,7 +443,7 @@ def _reverse_step(q, d, prev_h, step, symgen):
 
     if isinstance(step, DeleteVertex):
         v = step.vertex
-        incident = sorted((e for e in prev_h.edges if v in e), key=edge_key)
+        incident = sorted(prev_h._incidence[v], key=edge_key)
         new_atoms: list[Atom] = []
         new_rels: dict[str, tuple] = {}
         for f in sorted(prev_h.edges, key=edge_key):
@@ -463,7 +463,7 @@ def _reverse_step(q, d, prev_h, step, symgen):
 
     if isinstance(step, MergeOn):
         v = step.vertex
-        incident = sorted((e for e in prev_h.edges if v in e), key=edge_key)
+        incident = sorted(prev_h._incidence[v], key=edge_key)
         merged = frozenset().union(*incident) - {v}
         base = atoms[merged]
         rows = sorted(rels[base.relation])

@@ -15,22 +15,22 @@ covered vertices (vertices in no edge never need a bag).
 
 The minimum is the exact subset dynamic program of Bodlaender, Fomin, Koster,
 Kratsch and Thilikos (On exact algorithms for treewidth, ACM TALG 2012), run
-on ints: the sorted vertices are indexed once, a vertex set is a bit mask,
-and the primal adjacency is one mask per vertex.  The recurrence over
-eliminated sets is evaluated top down from the empty set with a cutoff at
-the best order found so far, memoised in dicts, so a set that cannot beat
-that order is never expanded: most inputs visit a few percent of the 2^n
-sets, and the recursion is at most one frame per vertex deep.  An
-elimination bag is a flood through the eliminated set whose every step is
-three table lookups.  The cover number of a bag mask is memoised per mask,
-and each witness cover is read off that memo: the edges are walked in
+on the int masks of ``hypergraph``'s vertex-set kernel: a vertex set is a bit
+mask over the sorted vertices, and the primal adjacency is one mask per
+vertex.  The recurrence over eliminated sets is evaluated top down from the
+empty set with a cutoff at the best order found so far, memoised in dicts, so
+a set that cannot beat that order is never expanded: most inputs visit a few
+percent of the 2^n sets, and the recursion is at most one frame per vertex
+deep.  An elimination bag is a flood through the eliminated set whose every
+step is three table lookups.  The cover number of a bag mask is memoised per
+mask, and each witness cover is read off that memo: the edges are walked in
 ``edge_key`` order and an edge is kept when it meets what is left of the bag
 and lowers its cover number by one, which yields the lexicographically-first
-minimum cover.  ``min_edge_cover`` is the same readout on a memo of its
-own.  Ties go to the smallest vertex name, so the witness is a function of
-the input alone.  In the worst case time and memory still grow as 2^n in
-the covered vertices, hence the hard input limits; the number of edges
-needs no limit of its own.
+minimum cover.  ``min_edge_cover`` is the same readout on a memo of its own.
+Ties go to the smallest vertex name, so the witness is a function of the input
+alone.  In the worst case time and memory still grow as 2^n in the covered
+vertices, hence the hard input limits; the number of edges needs no limit of
+its own.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .dilution import merge_on
 from .errors import ConstructionError, InvalidInputError, LimitExceededError
-from .hypergraph import Hypergraph, dual_with_map, edge_key
+from .hypergraph import Hypergraph, _adjacency, _mask, dual_with_map, edge_key
 
 DEFAULT_TW_VERTEX_LIMIT = 16
 DEFAULT_GHW_VERTEX_LIMIT = 18
@@ -165,23 +165,6 @@ def ghd_width(ghd: GHDecomposition) -> WidthReport:
 # -- elimination-order dynamic program ---------------------------------------
 
 
-def _mask(index: dict[str, int], vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << index[v]
-    return m
-
-
-def _adjacency_masks(index: dict[str, int], edges) -> list[int]:
-    """Primal adjacency: bit j of entry i is set when i != j share an edge."""
-    adj = [0] * len(index)
-    for e in edges:
-        m = _mask(index, e)
-        for v in e:
-            adj[index[v]] |= m
-    return [a & ~(1 << i) for i, a in enumerate(adj)]
-
-
 def _union_table(block: list[int]) -> list[int]:
     """Union of the block's masks for every sub-mask x of the block."""
     table = [0] * (1 << len(block))
@@ -299,7 +282,7 @@ def _min_degree_width(adj: list[int]) -> int:
 
 
 def _td_from_order(
-    verts: list[str], order: list[int], bags: list[int]
+    verts: tuple[str, ...], order: list[int], bags: list[int]
 ) -> TreeDecomposition:
     """Elimination tree: each bag hangs below its earliest later member."""
     pos = [0] * len(verts)
@@ -340,10 +323,9 @@ def exact_treewidth(
     if not h.vertices:
         td = TreeDecomposition(("t1",), (("t1", None),), (("t1", frozenset()),))
         return WidthReport("tw", -1, "t1"), td
-    verts = sorted(h.vertices)
-    index = {v: i for i, v in enumerate(verts)}
+    verts, (n, masks) = h._index_form
     # the bag size is the cost; the width is one less
-    size, order, bags = _eliminate(_adjacency_masks(index, h.edges), int.bit_count)
+    size, order, bags = _eliminate(_adjacency(n, masks), int.bit_count)
     width = size - 1
     td = _td_from_order(verts, order, bags)
     ok, why = validate_td(h, td)
@@ -437,7 +419,7 @@ def exact_ghw(
     The cost grows with the covered vertices alone, so only their number is
     limited; each bag's cover is the one ``min_edge_cover`` would return.
     """
-    covered = sorted({v for e in h.edges for v in e})
+    covered = tuple(sorted({v for e in h.edges for v in e}))
     if len(covered) > max_vertices:
         raise LimitExceededError(
             f"{len(covered)} covered vertices exceeds limit {max_vertices}"
@@ -451,9 +433,7 @@ def exact_ghw(
     edges = sorted(h.edges, key=edge_key)
     masks = [_mask(index, e) for e in edges]
     cover = _CoverNumbers(masks, len(covered))
-    width, order, bags = _eliminate(
-        _adjacency_masks(index, edges), cover.__getitem__
-    )
+    width, order, bags = _eliminate(_adjacency(len(covered), masks), cover.__getitem__)
     td = _td_from_order(covered, order, bags)
     covers = tuple(
         (name, frozenset(edges[i] for i in _read_cover(masks, cover, bag)))
@@ -486,7 +466,7 @@ def merge_transform(h: Hypergraph, ghd: GHDecomposition, v: str) -> GHDecomposit
         raise InvalidInputError(f"input decomposition invalid: {why}")
     if v not in h.vertices:
         raise InvalidInputError(f"unknown vertex {v!r}")
-    incident = frozenset(e for e in h.edges if v in e)
+    incident = h._incidence[v]
     if not incident:
         raise InvalidInputError(f"vertex {v!r} has degree 0, nothing to merge")
     merged = frozenset().union(*incident) - {v}

@@ -48,6 +48,7 @@ from .hypergraph import (
     DEFAULT_ISO_BUDGET,
     Hypergraph,
     IsoWitness,
+    _bits,
     _canonical_index,
     canonical_form,
     edge_key,
@@ -57,7 +58,7 @@ from .hypergraph import (
 DEFAULT_SEARCH_BUDGET = 10**5
 
 #: child certificates of each state ``reachable_dilutions`` has expanded:
-#: certificate -> certificates of all its children, size floors not applied
+#: certificate -> certificates of all its children
 _reach_memo: dict[tuple, tuple] = {}
 
 
@@ -126,7 +127,7 @@ def delete_subedge(h: Hypergraph, e) -> Hypergraph:
 def merge_on(h: Hypergraph, v: str) -> Hypergraph:
     if v not in h.vertices:
         raise InvalidStepError(f"cannot merge on unknown vertex {v!r}")
-    incident = frozenset(e for e in h.edges if v in e)
+    incident = h._incidence[v]
     if not incident:
         raise InvalidStepError(f"vertex {v!r} has degree 0, nothing to merge")
     merged = frozenset().union(*incident) - {v}
@@ -149,9 +150,7 @@ def valid_steps(h: Hypergraph) -> list[Step]:
     for e in sorted(h.edges, key=edge_key):
         if any(e < f for f in h.edges):
             steps.append(DeleteSubedge(e))
-    for v in sorted(h.vertices):
-        if any(v in e for e in h.edges):
-            steps.append(MergeOn(v))
+    steps += [MergeOn(v) for v in sorted(h.vertices) if h._incidence[v]]
     return steps
 
 
@@ -209,21 +208,16 @@ def reduce_hypergraph(h: Hypergraph) -> tuple[Hypergraph, DilutionSequence]:
     kept and the result retains it.
     """
     steps: list[Step] = []
-    inc: dict[str, set] = {v: set() for v in h.vertices}
-    for e in h.edges:
-        for v in e:
-            inc[v].add(e)
     by_type: dict[frozenset, list[str]] = {}
     for v in sorted(h.vertices):
-        by_type.setdefault(frozenset(inc[v]), []).append(v)
+        by_type.setdefault(h._incidence[v], []).append(v)
     for vtype, group in sorted(by_type.items(), key=lambda kv: kv[1][0]):
         if vtype:
             steps.extend(DeleteVertex(v) for v in group[1:])
+    # deleting a vertex that shares its type with a kept one collapses no
+    # edges, so the isolated vertices left are exactly those of h
+    steps.extend(DeleteVertex(v) for v in by_type.get(frozenset(), ()))
     cur = apply_sequence(h, DilutionSequence(tuple(steps)))
-    for v in sorted(cur.vertices):
-        if all(v not in e for e in cur.edges):
-            steps.append(DeleteVertex(v))
-            cur = delete_vertex(cur, v)
     if frozenset() in cur.edges and len(cur.edges) > 1:
         steps.append(DeleteSubedge(frozenset()))
         cur = delete_subedge(cur, frozenset())
@@ -236,16 +230,12 @@ def reduce_hypergraph(h: Hypergraph) -> tuple[Hypergraph, DilutionSequence]:
 _DELETE_VERTEX, _DELETE_SUBEDGE, _MERGE_ON = 0, 1, 2
 
 
-def _bits(m: int) -> list[int]:
-    return [i for i in range(m.bit_length()) if m >> i & 1]
-
-
 def _edge_order(m: int) -> tuple:
     """``edge_key`` of an edge mask, vertex i standing for the i-th name."""
     return m.bit_count(), _bits(m)
 
 
-def _mask_steps(n: int, edges, gens) -> list[tuple[int, int]]:
+def _index_steps(n: int, edges, gens) -> list[tuple[int, int]]:
     """The steps the search expands from vertices ``0..n-1`` with edge masks
     ``edges``: ``(kind, vertex or edge mask)`` pairs.
 
@@ -315,13 +305,13 @@ def _named_step(kind: int, x: int, names) -> Step:
 
 def _children(n: int, edges, gens):
     """The children of the state on vertices ``0..n-1`` with edge masks
-    ``edges``, along the steps of ``_mask_steps`` in its order: yields
+    ``edges``, along the steps of ``_index_steps`` in its order: yields
     ``(kind, x, child_n, child)``, the child a frozenset of edge masks.
 
     Deleting or merging on vertex x squeezes bit x out of every mask, so
     each child is already in its own order-preserving index form.
     """
-    for kind, x in _mask_steps(n, edges, gens):
+    for kind, x in _index_steps(n, edges, gens):
         if kind == _DELETE_SUBEDGE:
             yield kind, x, n, edges - {x}
             continue
@@ -420,27 +410,21 @@ def search_dilution(
     return None
 
 
-def reachable_dilutions(
-    h_src: Hypergraph,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    min_vertices: int = 0,
-    min_edges: int = 0,
-) -> set:
+def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) -> set:
     """Canonical forms of every hypergraph reachable by dilution from h_src.
 
-    Exhaustive up to the size floor; used to answer many containment queries
-    against one source in a single sweep.  The sweep is breadth-first over
-    certificates.  A state is expanded as in ``search_dilution``, one step
-    per orbit of its automorphisms, from the index form and generators it
-    was labelled with.  Once its expansion has finished, the certificates of
-    all its children, before any size floor, go into the process-wide,
-    capped ``_reach_memo`` under its certificate; a later sweep from any
-    source that meets the certificate reads them there instead, and applies
-    its own floors.  A certificate met only in a memo entry and without an
-    entry of its own is expanded from its own index form.  The budget still
-    counts states, one per certificate taken from the queue, so the result
-    and the least budget that succeeds (the size of the result) are the same
-    whether the memo is warm or cold.
+    Exhaustive; used to answer many containment queries against one source in
+    a single sweep.  The sweep is breadth-first over certificates.  A state is
+    expanded as in ``search_dilution``, one step per orbit of its
+    automorphisms, from the index form and generators it was labelled with.
+    Once its expansion has finished, the certificates of all its children go
+    into the process-wide, capped ``_reach_memo`` under its certificate; a
+    later sweep from any source that meets the certificate reads them there
+    instead.  A certificate met only in a memo entry and without an entry of
+    its own is expanded from its own index form.  The budget still counts
+    states, one per certificate taken from the queue, so the result and the
+    least budget that succeeds (the size of the result) are the same whether
+    the memo is warm or cold.
     """
     n, masks = h_src._index_form[1]
     start, _, gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
@@ -478,7 +462,7 @@ def reachable_dilutions(
             if len(_reach_memo) < _CERT_CACHE_MAX:
                 _reach_memo[cert] = children
         for c in children:
-            if c not in seen and c[0] >= min_vertices and len(c[1]) >= min_edges:
+            if c not in seen:
                 seen.add(c)
                 queue.append((c, forms.get(c)))
     return seen
@@ -529,7 +513,7 @@ def track_labels(h_src: Hypergraph, seq: DilutionSequence) -> EdgeLabeling:
             dropped = labels.pop(step.edge)
             labels[host] = labels[host] | dropped
         else:  # MergeOn
-            incident = [e for e in cur.edges if step.vertex in e]
+            incident = cur._incidence[step.vertex]
             merged = frozenset().union(*incident) - {step.vertex}
             union = frozenset().union(*(labels.pop(e) for e in incident))
             labels[merged] = labels.get(merged, frozenset()) | union

@@ -6,12 +6,17 @@ collapse automatically; empty edges and isolated vertices are representable.
 All values are frozen and all operations are pure, so everything here is safe
 for unrestricted concurrent use.
 
-``neighbors`` (primal adjacency) and ``components`` (connected vertex
-classes) are the library's connectivity kernel, beside ``is_connected`` and
-the breadth-first search behind ``find_path``; other modules ask these
-instead of building their own.  The plain witness records ``Path``,
-``PreJigsawWitness`` and ``IsoWitness`` live here so that generators and
-search code can share them without importing each other.
+The vertex-set kernel lives here, and other modules ask it instead of
+building their own.  A vertex's *type*, the set of edges at it, is read off
+the cached ``Hypergraph._incidence``.  Vertex sets are int masks over the
+cached index form (vertex i is the i-th name in sorted order): ``_mask``
+turns names into a mask, ``_bits`` a mask back into indices, ``_adjacency``
+gives the primal adjacency as one neighbour mask per vertex, and
+``_mask_components`` the connected pieces of a mask.  ``components`` and
+``is_connected`` are views of those over the index form; ``_shortest_path``
+is the breadth-first search behind ``find_path``.  The plain witness records
+``Path``, ``PreJigsawWitness`` and ``IsoWitness`` live here so that
+generators and search code can share them without importing each other.
 
 Isomorphism is decided through a canonical certificate computed by iterated
 partition refinement with individualization backtracking, pruned by the
@@ -70,17 +75,13 @@ class Hypergraph:
         """All edges containing v (the *vertex type* of v)."""
         if v not in self.vertices:
             raise InvalidInputError(f"unknown vertex {v!r}")
-        return frozenset(e for e in self.edges if v in e)
+        return self._incidence[v]
 
     def degree(self, v: str) -> int:
         return len(self.incidence(v))
 
     def max_degree(self) -> int:
-        counts = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            for v in e:
-                counts[v] += 1
-        return max(counts.values(), default=0)
+        return max(map(len, self._incidence.values()), default=0)
 
     def rank(self) -> int:
         return max((len(e) for e in self.edges), default=0)
@@ -89,14 +90,17 @@ class Hypergraph:
         """No degree-0 vertex, no empty edge, no two vertices of equal type."""
         if frozenset() in self.edges:
             return False
-        inc: dict[str, set] = {v: set() for v in self.vertices}
+        types = self._incidence.values()
+        return all(types) and len(set(types)) == len(types)
+
+    @cached_property
+    def _incidence(self) -> dict[str, frozenset[frozenset[str]]]:
+        """Every vertex mapped to its type, the edges containing it."""
+        inc: dict[str, list] = {v: [] for v in self.vertices}
         for e in self.edges:
             for v in e:
-                inc[v].add(e)
-        if any(not s for s in inc.values()):
-            return False
-        types = [frozenset(s) for s in inc.values()]
-        return len(set(types)) == len(types)
+                inc[v].append(e)
+        return {v: frozenset(at) for v, at in inc.items()}
 
     @cached_property
     def _index_form(self) -> tuple[tuple[str, ...], tuple]:
@@ -111,13 +115,6 @@ class Hypergraph:
         bit = {v: 1 << i for i, v in enumerate(names)}.__getitem__
         masks = sorted([sum(map(bit, e)) for e in self.edges])
         return tuple(names), (len(names), tuple(masks))
-
-    def induced(self, keep) -> "Hypergraph":
-        """Subhypergraph on ``keep``: every edge restricted, duplicates collapse."""
-        keep = frozenset(keep)
-        if not keep <= self.vertices:
-            raise InvalidInputError("induced set contains unknown vertices")
-        return Hypergraph(keep, frozenset(e & keep for e in self.edges))
 
 
 def edge_key(e) -> tuple:
@@ -141,7 +138,7 @@ def dual_with_map(h: Hypergraph) -> tuple[Hypergraph, dict[frozenset, str]]:
     if len(set(names.values())) != len(names):
         raise InvalidInputError("vertex names make dual edge names ambiguous")
     dual_edges = frozenset(
-        frozenset(names[e] for e in h.edges if v in e) for v in h.vertices
+        frozenset(names[e] for e in at) for at in h._incidence.values()
     )
     return Hypergraph(frozenset(names.values()), dual_edges), names
 
@@ -258,34 +255,57 @@ def _shortest_path(h: Hypergraph, u: str, v: str, avoid) -> Path | None:
     return Path(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
-def neighbors(h: Hypergraph) -> dict[str, set[str]]:
-    """Primal adjacency: every vertex mapped to the others sharing an edge."""
-    adj: dict[str, set[str]] = {v: set() for v in h.vertices}
-    for e in h.edges:
-        for v in e:
-            adj[v] |= e
-    for v, around in adj.items():
-        around.discard(v)
-    return adj
+# -- vertex sets as masks --------------------------------------------------
+
+
+def _bits(m: int) -> list[int]:
+    """The indices of the set bits of m, ascending."""
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def _mask(index: dict[str, int], vertices) -> int:
+    """The mask of a vertex set, vertex v being bit ``index[v]``."""
+    m = 0
+    for v in vertices:
+        m |= 1 << index[v]
+    return m
+
+
+def _adjacency(n: int, masks) -> list[int]:
+    """Primal adjacency of the vertices 0..n-1 with edge masks ``masks``:
+    bit j of entry i is set when i != j share an edge."""
+    adj = [0] * n
+    for m in masks:
+        rest = m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            adj[b.bit_length() - 1] |= m
+    return [a & ~(1 << i) for i, a in enumerate(adj)]
+
+
+def _mask_components(adj: list[int], within: int) -> list[int]:
+    """Connected pieces of the vertices in mask ``within``, as masks, ordered
+    by their lowest vertex; ``adj`` holds one neighbour mask per vertex."""
+    pieces = []
+    while within:
+        piece = front = within & -within
+        while front:
+            b = front & -front
+            front ^= b
+            new = adj[b.bit_length() - 1] & within & ~piece
+            piece |= new
+            front |= new
+        pieces.append(piece)
+        within &= ~piece
+    return pieces
 
 
 def components(h: Hypergraph) -> list[frozenset[str]]:
     """Connected vertex classes, ordered by their smallest vertex."""
-    adj = neighbors(h)
-    seen: set[str] = set()
-    out: list[frozenset[str]] = []
-    for v in sorted(h.vertices):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for y in adj[stack.pop()] - comp:
-                comp.add(y)
-                stack.append(y)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+    names, (n, masks) = h._index_form
+    pieces = _mask_components(_adjacency(n, masks), (1 << n) - 1)
+    return [frozenset([names[i] for i in _bits(p)]) for p in pieces]
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -488,15 +508,11 @@ def _find(parent: list[int], x: int) -> int:
 
 
 def _iso_invariant(h: Hypergraph) -> tuple:
-    degs = {v: 0 for v in h.vertices}
-    for e in h.edges:
-        for v in e:
-            degs[v] += 1
     return (
         len(h.vertices),
         len(h.edges),
         tuple(sorted(len(e) for e in h.edges)),
-        tuple(sorted(degs.values())),
+        tuple(sorted(map(len, h._incidence.values()))),
     )
 
 

@@ -3,10 +3,12 @@
 A minor map sends each vertex of a pattern graph to a connected, pairwise
 disjoint branch set of the host, with host edges witnessing pattern adjacency.
 ``find_minor`` is an exhaustive model search (complete; budget-guarded) over
-the host's connected vertex subsets held as int masks.  Before the search it
-tries minor-monotone certificates of absence: a pattern with more primal
-edges, a larger circuit rank or a larger treewidth than the host is no minor
-(treewidth is compared with a min-degree elimination bound of the host).
+the host's connected vertex subsets held as int masks, which come, like
+the masks the minor-map checks run on, from ``hypergraph``'s vertex-set
+kernel.  Before the search it tries minor-monotone certificates of absence:
+a pattern with more primal edges, a larger circuit rank or a larger
+treewidth than the host is no minor (the pattern's treewidth, by
+``decomposition``'s DP, is compared with a min-degree bound of the host).
 During the search it drops every partial placement that leaves some
 connected piece of the unplaced pattern no connected region of the unused
 host to go to.  Neither cut removes a branch that holds a model, so the
@@ -48,12 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .decomposition import (
-    DEFAULT_TW_VERTEX_LIMIT,
-    _adjacency_masks,
-    _eliminate,
-    _min_degree_width,
-)
+from .decomposition import DEFAULT_TW_VERTEX_LIMIT, _eliminate, _min_degree_width
 from .dilution import (
     DEFAULT_SEARCH_BUDGET,
     DeleteSubedge,
@@ -83,7 +80,11 @@ from .hypergraph import (
     Hypergraph,
     Path,
     PreJigsawWitness,
+    _adjacency,
+    _bits,
     _find,
+    _mask,
+    _mask_components,
     _shortest_path,
     components,
     dual,
@@ -91,7 +92,6 @@ from .hypergraph import (
     edge_key,
     is_connected,
     isomorphic,
-    neighbors,
 )
 
 DEFAULT_MINOR_BUDGET = 10**6
@@ -128,47 +128,34 @@ def validate_minor_map(
     images = mm.as_dict()
     if set(images) != set(g.vertices):
         return False, "branch sets do not cover exactly the pattern vertices"
-    taken: set[str] = set()
+    names, (n, masks) = host._index_form
+    index = {x: i for i, x in enumerate(names)}
+    adj = _adjacency(n, masks)
+    sets: dict[str, int] = {}
+    taken = 0
     for v in sorted(images):
         s = images[v]
         if not s:
             return False, f"branch set of {v} is empty"
         if not s <= host.vertices:
             return False, f"branch set of {v} leaves the host"
-        if s & taken:
+        sets[v] = m = _mask(index, s)
+        if m & taken:
             return False, f"branch set of {v} overlaps another"
-        taken |= s
-        if not is_connected(host.induced(s)):
+        taken |= m
+        if len(_mask_components(adj, m)) > 1:
             return False, f"branch set of {v} is not connected"
     # the sets are disjoint: an edge meets two exactly when primal neighbours do
-    adj = neighbors(host)
     for e in sorted(g.edges, key=edge_key):
         u, v = sorted(e)
-        if not any(adj[x] & images[v] for x in images[u]):
+        if not any(adj[i] & sets[v] for i in _bits(sets[u])):
             return False, f"no host edge connects branch sets of {u} and {v}"
-    if require_onto and taken != set(host.vertices):
+    if require_onto and taken != (1 << n) - 1:
         return False, "branch sets do not cover the host"
     return True, None
 
 
 # -- exhaustive minor search --------------------------------------------------
-
-
-def _mask_components(adj: list[int], within: int) -> list[int]:
-    """Connected pieces of the vertices in mask ``within``, as masks, ordered
-    by their lowest vertex; ``adj`` holds one neighbour mask per vertex."""
-    pieces = []
-    while within:
-        piece = front = within & -within
-        while front:
-            b = front & -front
-            front ^= b
-            new = adj[b.bit_length() - 1] & within & ~piece
-            piece |= new
-            front |= new
-        pieces.append(piece)
-        within &= ~piece
-    return pieces
 
 
 def _edge_count(adj: list[int]) -> int:
@@ -221,8 +208,8 @@ class _Pattern:
 
     def __init__(self, g: Hypergraph):
         _check_graph(g)
-        gnames = sorted(g.vertices)
-        gadj = _adjacency_masks({v: i for i, v in enumerate(gnames)}, g.edges)
+        gnames, (n, masks) = g._index_form
+        gadj = _adjacency(n, masks)
         order, seen = [0] if gnames else [], 1
         for x in order:
             fresh = gadj[x] & ~seen
@@ -234,11 +221,9 @@ class _Pattern:
         if len(order) < len(gnames):
             raise InvalidInputError("pattern must be connected")
         self.names = [gnames[x] for x in order]
-        self.adj = adj = _adjacency_masks(
-            {v: i for i, v in enumerate(self.names)}, g.edges
-        )
+        index = {v: i for i, v in enumerate(self.names)}
+        self.adj = adj = _adjacency(n, [_mask(index, e) for e in g.edges])
         self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
-        n = len(adj)
         self.earlier = [[j for j in range(i) if adj[i] >> j & 1] for i in range(n)]
         self.fits = [
             [
@@ -264,8 +249,8 @@ class _Host:
     subsets are built when a search first needs them."""
 
     def __init__(self, host: Hypergraph):
-        self.names = names = sorted(host.vertices)
-        self.adj = adj = _adjacency_masks({v: i for i, v in enumerate(names)}, host.edges)
+        self.names, (n, masks) = host._index_form
+        self.adj = adj = _adjacency(n, masks)
         self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
 
     @cached_property
@@ -392,26 +377,30 @@ def find_minor(
 
 
 def extend_to_onto(g: Hypergraph, host: Hypergraph, mm: MinorMap) -> MinorMap:
-    """Absorb every unused host vertex into an adjacent branch set."""
-    images = {v: set(s) for v, s in mm.as_dict().items()}
-    adj = neighbors(host)
-    free = set(host.vertices) - set().union(*images.values())
+    """Absorb unused host vertices, the least one next to a branch set
+    first, each into the first set in pattern order that it touches."""
+    images = {v: frozenset(s) for v, s in mm.as_dict().items()}
+    order = sorted(images)
+    names, (n, masks) = host._index_form
+    index = {x: i for i, x in enumerate(names)}
+    adj = _adjacency(n, masks)
+    # vertices outside the host stay in their sets for validation to reject
+    sets = [_mask(index, images[v] & host.vertices) for v in order]
+    free = _mask(index, host.vertices.difference(*images.values()))
     while free:
-        hit = None
-        for u in sorted(free):
-            for v in sorted(images):
-                if adj[u] & images[v]:
-                    hit = (u, v)
-                    break
-            if hit:
+        for u in _bits(free):
+            k = next((k for k, m in enumerate(sets) if adj[u] & m), None)
+            if k is not None:
                 break
-        if hit is None:
+        else:
             raise InvalidInputError(
                 "host has vertices unreachable from the model; cannot make the map onto"
             )
-        images[hit[1]].add(hit[0])
-        free.remove(hit[0])
-    out = MinorMap.of(images)
+        sets[k] |= 1 << u
+        free ^= 1 << u
+    out = MinorMap.of(
+        {v: images[v] | {names[i] for i in _bits(m)} for v, m in zip(order, sets)}
+    )
     ok, why = validate_minor_map(g, host, out, require_onto=True)
     if not ok:  # pragma: no cover - absorption invariant
         raise ConstructionError(f"onto extension broke the map: {why}")
@@ -458,7 +447,7 @@ def _region_merge_spine(
         holders = [i for i, e in enumerate(edges) if w in e]
         if len(holders) != 2:
             continue
-        if len([e for e in h.edges if w in e]) != 2:
+        if len(h._incidence[w]) != 2:
             continue
         a, b = _find(parent, holders[0]), _find(parent, holders[1])
         if a != b:
@@ -499,11 +488,7 @@ def jigsaw_from_grid_minor(
         u: frozenset(name_to_edge[x] for x in images[u]) for u in g.vertices
     }
 
-    inc: dict[str, list] = {v: [] for v in h_red.vertices}
-    for e in h_red.edges:
-        for v in e:
-            inc[v].append(e)
-
+    inc = h_red._incidence
     junction: dict[frozenset, str] = {}
     junctions_of: dict[str, set[str]] = {u: set() for u in g.vertices}
     for ge in sorted(g.edges, key=edge_key):
@@ -575,9 +560,12 @@ def decide_dilution(
     return search_dilution(h, t, budget=budget)
 
 
-def _dilution_by_minor(
-    h: Hypergraph, g: Hypergraph, t: Hypergraph, budget: int
-) -> DilutionSequence | None:
+def minor_piece(
+    h: Hypergraph, g: Hypergraph, budget: int
+) -> tuple[DilutionSequence, Hypergraph, MinorMap] | None:
+    """The sequence from h to a piece of its reduced form, the piece, and an
+    onto minor map of connected g into the piece's dual; None when g is no
+    minor of the dual of the reduced h."""
     h_red, seq = reduce_hypergraph(h)
     d, edge_to_name = dual_with_map(h_red)
     mm = find_minor(g, d, budget=budget)
@@ -592,8 +580,17 @@ def _dilution_by_minor(
     kept = {v for e, name in edge_to_name.items() if name in piece for v in e}
     steps = [DeleteVertex(v) for v in sorted(h_red.vertices - kept)]
     h_piece = _apply_dropping_empty_edge(h_red, steps)
-    mm = extend_to_onto(g, dual(h_piece), mm)
-    seq = seq.then(steps).then(jigsaw_from_grid_minor(h_piece, g, mm).steps)
+    return seq.then(steps), h_piece, extend_to_onto(g, dual(h_piece), mm)
+
+
+def _dilution_by_minor(
+    h: Hypergraph, g: Hypergraph, t: Hypergraph, budget: int
+) -> DilutionSequence | None:
+    found = minor_piece(h, g, budget)
+    if found is None:
+        return None
+    seq, h_piece, mm = found
+    seq = seq.then(jigsaw_from_grid_minor(h_piece, g, mm).steps)
     ok, _ = verify_dilution(h, seq, t)
     if not ok:
         raise ConstructionError("minor route does not reach the target")
@@ -627,9 +624,7 @@ def minor_from_dilution(
     _, edge_to_name = dual_with_map(h)
     images = {}
     for v in sorted(g.vertices):
-        dg_edge = frozenset(
-            gedge_name[e] for e in g.edges if v in e
-        )
+        dg_edge = frozenset(gedge_name[e] for e in g._incidence[v])
         matches = [
             f
             for f in result.edges
@@ -678,8 +673,12 @@ def _edges_linked_avoiding(
     host: Hypergraph, a: frozenset, b: frozenset, marked: frozenset
 ) -> bool:
     """Whether edges a and b touch or connect via unmarked-edge paths."""
-    linked = Hypergraph(host.vertices, (host.edges - marked) | {a, b})
-    return any(min(a) in c and min(b) in c for c in components(linked))
+    names, (n, masks) = host._index_form
+    index = {x: i for i, x in enumerate(names)}
+    ma, mb = _mask(index, a), _mask(index, b)
+    kept = set(masks) - {_mask(index, e) for e in marked} | {ma, mb}
+    pieces = _mask_components(_adjacency(n, kept), (1 << n) - 1)
+    return any(p & ma and p & mb for p in pieces)
 
 
 def validate_expressive_minor(
@@ -795,17 +794,17 @@ def validate_prejigsaw(
         return fail("groups do not exhaust the host edges")
 
     paths = witness.path_dict()
-    wanted = set()
+    wanted = {}  # corner pair -> the jigsaw edge holding both
     pi_image = set(pi.values())
     for je in sorted(jedges, key=edge_key):
         mem = sorted(je)
         for i, a in enumerate(mem):
             for b in mem[i + 1 :]:
-                wanted.add((a, b))
-    if set(paths) != wanted:
+                wanted[a, b] = je
+    if set(paths) != set(wanted):
         return fail("fixed paths do not cover exactly the same-edge corner pairs")
     for (a, b), p in sorted(paths.items()):
-        je = next(e for e in jedges if a in e and b in e)
+        je = wanted[a, b]
         bad = p.check(h)
         if bad:
             return fail(f"fixed path {a},{b}: {bad}")
@@ -883,10 +882,10 @@ def prejigsaw_from_expressive_minor(
     if not ok:
         raise InvalidInputError(f"expressive minor invalid for the dual: {why}")
 
-    dual_edge_to_vertex = {}
-    for w in h_red.vertices:
-        de = frozenset(edge_to_name[e] for e in h_red.edges if w in e)
-        dual_edge_to_vertex[de] = w
+    dual_edge_to_vertex = {
+        frozenset(edge_to_name[e] for e in at): w
+        for w, at in h_red._incidence.items()
+    }
     rho = emm.rho_dict()
     images = emm.mu.as_dict()
 

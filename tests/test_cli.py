@@ -17,9 +17,10 @@ from hgdilute.formats import (
     parse_rename,
     parse_sequence,
     parse_solutions,
+    write_hypergraph,
 )
 from hgdilute.generators import jigsaw, mesh
-from hgdilute.hypergraph import isomorphic
+from hgdilute.hypergraph import Hypergraph, isomorphic
 
 
 def run(tmp_path, *argv):
@@ -253,6 +254,29 @@ class TestExtractCommands:
         seq_out, wit_out = tmp_path / "p.dseq", tmp_path / "p.wit"
         assert main(
             ["prejigsaw-extract", str(src), "-n", "2", "--seq-out", str(seq_out),
+             "--witness-out", str(wit_out)]
+        ) == 0
+        assert "dims 2 2" in wit_out.read_text()
+
+    @pytest.fixture
+    def two_meshes(self, tmp_path):
+        """Two disjoint copies of mesh(3, 3): a disconnected degree-2 host."""
+        edges = [{copy + v for v in e} for copy in "ab" for e in mesh(3, 3).edges]
+        path = tmp_path / "two.hg"
+        path.write_text(write_hypergraph(Hypergraph.make(edges)))
+        return path
+
+    def test_extract_from_disconnected_host(self, tmp_path, two_meshes, capsys):
+        # the model lies in one copy; the other is deleted before the map is
+        # made onto, as check-dilution's minor route does
+        seq_out, target = tmp_path / "seq.dseq", tmp_path / "j22.hg"
+        assert main(["gen", "--family", "jigsaw", "-n", "2", "-m", "2", "-o", str(target)]) == 0
+        assert main(["jigsaw-extract", str(two_meshes), "-n", "2", "--seq-out", str(seq_out)]) == 0
+        assert "in 15 steps" in capsys.readouterr().out
+        assert main(["check-dilution", str(two_meshes), str(target), "--seq", str(seq_out)]) == 0
+        wit_out = tmp_path / "p.wit"
+        assert main(
+            ["prejigsaw-extract", str(two_meshes), "-n", "2", "--seq-out", str(seq_out),
              "--witness-out", str(wit_out)]
         ) == 0
         assert "dims 2 2" in wit_out.read_text()

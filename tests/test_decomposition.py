@@ -24,7 +24,7 @@ from hgdilute.decomposition import (
 )
 from hgdilute.dilution import merge_on, reduce_hypergraph
 from hgdilute.errors import ConstructionError, InvalidInputError, LimitExceededError
-from hgdilute.hypergraph import Hypergraph, dual, edge_key
+from hgdilute.hypergraph import Hypergraph, _adjacency, _mask, dual, edge_key
 from hgdilute.generators import grid, jigsaw
 
 from conftest import sample_hypergraph
@@ -421,12 +421,11 @@ def oracle_eliminate(adj, cost):
 
 def elimination_cases(h):
     """(adj, fresh cost) pairs as exact_treewidth and exact_ghw build them."""
-    index = {v: i for i, v in enumerate(sorted(h.vertices))}
-    yield decomposition._adjacency_masks(index, h.edges), lambda: int.bit_count
+    yield _adjacency(*h._index_form[1]), lambda: int.bit_count
     covered = {v: i for i, v in enumerate(sorted({v for e in h.edges for v in e}))}
     edges = sorted(h.edges, key=edge_key)
-    masks = [decomposition._mask(covered, e) for e in edges]
-    yield decomposition._adjacency_masks(covered, edges), lambda: (
+    masks = [_mask(covered, e) for e in edges]
+    yield _adjacency(len(covered), masks), lambda: (
         decomposition._CoverNumbers(masks, len(covered)).__getitem__
     )
 
@@ -510,9 +509,7 @@ class TestEliminateMatchesOracle:
 
 
 def min_degree_width(h):
-    index = {v: i for i, v in enumerate(sorted(h.vertices))}
-    adj = decomposition._adjacency_masks(index, h.edges)
-    return decomposition._min_degree_width(adj)
+    return decomposition._min_degree_width(_adjacency(*h._index_form[1]))
 
 
 class TestMinDegreeBound:

@@ -25,7 +25,7 @@ from hgdilute.dilution import (
     track_labels,
     valid_steps,
     verify_dilution,
-    _mask_steps,
+    _index_steps,
     _named_step,
 )
 from hgdilute.errors import BudgetExceededError, InvalidStepError
@@ -260,7 +260,7 @@ def unpruned_search(h_src, h_target):
     return None, expanded
 
 
-def unpruned_reachable(h_src, min_vertices=0, min_edges=0):
+def unpruned_reachable(h_src):
     """Certificates reachable from h_src, expanding every valid step."""
     seen = {canonical_form(h_src)}
     queue = deque([h_src])
@@ -268,8 +268,6 @@ def unpruned_reachable(h_src, min_vertices=0, min_edges=0):
         state = queue.popleft()
         for step in valid_steps(state):
             child = apply_step(state, step)
-            if len(child.vertices) < min_vertices or len(child.edges) < min_edges:
-                continue
             cert = canonical_form(child)
             if cert not in seen:
                 seen.add(cert)
@@ -334,11 +332,11 @@ def orbit_steps(h, gens):
 
 
 def mask_steps(h, gens):
-    """``_mask_steps`` on h's index form, generators and steps in h's names."""
+    """``_index_steps`` on h's index form, generators and steps in h's names."""
     names, (n, masks) = h._index_form
     pos = {v: i for i, v in enumerate(names)}
     index_gens = [[pos[g[v]] for v in names] for g in gens]
-    return [_named_step(k, x, names) for k, x in _mask_steps(n, masks, index_gens)]
+    return [_named_step(k, x, names) for k, x in _index_steps(n, masks, index_gens)]
 
 
 @st.composite
@@ -357,11 +355,9 @@ def step_sources(draw):
 class TestOrbitPruning:
     """The orbit-pruned searches against the unpruned ones kept here."""
 
-    @given(search_sources(), st.integers(0, 3), st.integers(0, 3))
-    def test_reachable_matches_unpruned(self, h, min_vertices, min_edges):
-        assert reachable_dilutions(h, 10**5, min_vertices, min_edges) == unpruned_reachable(
-            h, min_vertices, min_edges
-        )
+    @given(search_sources())
+    def test_reachable_matches_unpruned(self, h):
+        assert reachable_dilutions(h) == unpruned_reachable(h)
 
     @settings(max_examples=80)
     @given(search_sources(), seeds, st.booleans())
@@ -389,9 +385,6 @@ class TestOrbitPruning:
 
     def test_mesh_reachable_matches_unpruned(self):
         assert reachable_dilutions(mesh(3, 3)) == unpruned_reachable(mesh(3, 3))
-        assert reachable_dilutions(mesh(3, 4), min_vertices=5, min_edges=4) == (
-            unpruned_reachable(mesh(3, 4), 5, 4)
-        )
 
     @pytest.mark.parametrize(
         "src",
@@ -472,12 +465,12 @@ def fresh_memo(cap=None):
         yield mp
 
 
-def assert_reach(h, reach, min_vertices=0, min_edges=0):
+def assert_reach(h, reach):
     """The sweep returns ``reach``, which is also its least budget."""
-    assert reachable_dilutions(h, len(reach), min_vertices, min_edges) == reach
+    assert reachable_dilutions(h, len(reach)) == reach
     message = f"^dilution reachability exceeded {len(reach) - 1} expanded states$"
     with pytest.raises(BudgetExceededError, match=message):
-        reachable_dilutions(h, len(reach) - 1, min_vertices, min_edges)
+        reachable_dilutions(h, len(reach) - 1)
 
 
 class TestReachMemo:
@@ -492,17 +485,6 @@ class TestReachMemo:
             with fresh_memo(cap):
                 for x in order:
                     assert_reach(x, reach[x])
-
-    @given(search_sources(), st.integers(1, 4), st.integers(0, 3))
-    def test_floored_and_full_sweeps(self, h, min_vertices, min_edges):
-        full = unpruned_reachable(h)
-        floored = unpruned_reachable(h, min_vertices, min_edges)
-        with fresh_memo():
-            assert_reach(h, floored, min_vertices, min_edges)
-            assert_reach(h, full)
-        with fresh_memo():
-            assert_reach(h, full)
-            assert_reach(h, floored, min_vertices, min_edges)
 
     @given(search_sources(), st.data())
     def test_full_sweep_after_one_that_raised(self, h, data):

@@ -122,6 +122,109 @@ def is_automorphism(g, h):
     )
 
 
+# set-based references for the vertex-set kernel: per-vertex edge scans,
+# primal adjacency as sets and a set BFS per component
+
+
+def reference_incidence(h):
+    return {v: frozenset(e for e in h.edges if v in e) for v in h.vertices}
+
+
+def reference_neighbors(h):
+    adj = {v: set() for v in h.vertices}
+    for e in h.edges:
+        for v in e:
+            adj[v] |= e
+    for v, around in adj.items():
+        around.discard(v)
+    return adj
+
+
+def reference_components(h, within=None):
+    """Connected classes of ``within`` (all vertices by default), joined by
+    the edges of h restricted to it, ordered by their smallest vertex."""
+    adj = reference_neighbors(h)
+    within = set(h.vertices if within is None else within)
+    seen, out = set(), []
+    for v in sorted(within):
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for y in (adj[stack.pop()] & within) - comp:
+                comp.add(y)
+                stack.append(y)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def reference_is_reduced(h):
+    types = list(reference_incidence(h).values())
+    return (
+        frozenset() not in h.edges
+        and all(types)
+        and len(set(types)) == len(types)
+    )
+
+
+def reference_dual_with_map(h):
+    names = {e: "{" + ",".join(sorted(e)) + "}" for e in h.edges}
+    inc = reference_incidence(h)
+    dual_edges = frozenset(frozenset(names[e] for e in inc[v]) for v in h.vertices)
+    return Hypergraph(frozenset(names.values()), dual_edges), names
+
+
+def reference_iso_invariant(h):
+    inc = reference_incidence(h)
+    return (
+        len(h.vertices),
+        len(h.edges),
+        tuple(sorted(len(e) for e in h.edges)),
+        tuple(sorted(len(at) for at in inc.values())),
+    )
+
+
+class TestVertexSetKernel:
+    """The cached incidence and the mask kernel against set-based references."""
+
+    @given(tiny_hypergraphs())
+    @settings(max_examples=200)
+    def test_incidence_views(self, h):
+        inc = reference_incidence(h)
+        assert h._incidence == inc
+        for v in h.vertices:
+            assert h.incidence(v) == inc[v] and h.degree(v) == len(inc[v])
+        assert h.max_degree() == max(map(len, inc.values()), default=0)
+        assert h.is_reduced() == reference_is_reduced(h)
+        assert dual_with_map(h) == reference_dual_with_map(h)
+        assert hypergraph._iso_invariant(h) == reference_iso_invariant(h)
+
+    @given(tiny_hypergraphs())
+    @settings(max_examples=200)
+    def test_connectivity_views(self, h):
+        comps = reference_components(h)
+        assert components(h) == comps
+        assert is_connected(h) == (len(comps) <= 1)
+
+    @given(tiny_hypergraphs(), st.data())
+    @settings(max_examples=200)
+    def test_masks(self, h, data):
+        names, (n, masks) = h._index_form
+        index = {v: i for i, v in enumerate(names)}
+        assert masks == tuple(sorted(hypergraph._mask(index, e) for e in h.edges))
+        adj = hypergraph._adjacency(n, masks)
+        expected = reference_neighbors(h)
+        assert [{names[j] for j in hypergraph._bits(a)} for a in adj] == [
+            expected[v] for v in names
+        ]
+        within = data.draw(st.sets(st.sampled_from(names))) if names else set()
+        pieces = hypergraph._mask_components(adj, hypergraph._mask(index, within))
+        assert [{names[j] for j in hypergraph._bits(p)} for p in pieces] == (
+            reference_components(h, within)
+        )
+
+
 class TestBasics:
     def test_vertices_must_cover_edges(self):
         with pytest.raises(InvalidInputError):

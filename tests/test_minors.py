@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import hgdilute.acceptance as acceptance
 import hgdilute.minors as minors
 from hgdilute.acceptance import _connected_graphs_upto, _degree2_corpus
-from hgdilute.decomposition import _adjacency_masks
 from hgdilute.dilution import (
     DilutionSequence,
     MergeOn,
@@ -22,9 +21,11 @@ from hgdilute.errors import BudgetExceededError, ConstructionError, InvalidInput
 from hgdilute.generators import grid, jigsaw, mesh, subdivided_jigsaw
 from hgdilute.hypergraph import (
     Hypergraph,
+    _adjacency,
     canonical_form,
     dual,
     dual_with_map,
+    edge_key,
     isomorphic,
 )
 from hgdilute.minors import (
@@ -49,6 +50,8 @@ from hgdilute.minors import (
     _pattern,
     _wider,
 )
+
+from conftest import sample_hypergraph
 
 
 def H(*edges, extra=()):
@@ -276,7 +279,7 @@ def has_minor_by_branch_sets(g, host):
 
 
 def masks(h):
-    return _adjacency_masks({v: i for i, v in enumerate(sorted(h.vertices))}, h.edges)
+    return _adjacency(*h._index_form[1])
 
 
 class TestAbsenceCertificates:
@@ -325,6 +328,134 @@ class TestAbsenceCertificates:
         # treewidth 3 against 2: proved before any placement attempt
         assert find_minor(grid(3, 3), host) is None
         assert find_minor(grid(3, 3), host, budget=0) is None
+
+
+def reference_neighbors(host):
+    adj = {v: set() for v in host.vertices}
+    for e in host.edges:
+        for v in e:
+            adj[v] |= e
+    for v, around in adj.items():
+        around.discard(v)
+    return adj
+
+
+def reference_validate_minor_map(g, host, mm, require_onto=False):
+    """``validate_minor_map`` on named sets: branch sets grow by set BFS."""
+    if any(len(e) != 2 for e in g.edges):
+        raise InvalidInputError("pattern must be 2-uniform")
+    images = mm.as_dict()
+    if set(images) != set(g.vertices):
+        return False, "branch sets do not cover exactly the pattern vertices"
+    adj = reference_neighbors(host)
+    taken = set()
+    for v in sorted(images):
+        s = images[v]
+        if not s:
+            return False, f"branch set of {v} is empty"
+        if not s <= host.vertices:
+            return False, f"branch set of {v} leaves the host"
+        if s & taken:
+            return False, f"branch set of {v} overlaps another"
+        taken |= s
+        reach, stack = {min(s)}, [min(s)]
+        while stack:
+            for y in (adj[stack.pop()] & s) - reach:
+                reach.add(y)
+                stack.append(y)
+        if reach != s:
+            return False, f"branch set of {v} is not connected"
+    for e in sorted(g.edges, key=edge_key):
+        u, v = sorted(e)
+        if not any(adj[x] & images[v] for x in images[u]):
+            return False, f"no host edge connects branch sets of {u} and {v}"
+    if require_onto and taken != set(host.vertices):
+        return False, "branch sets do not cover the host"
+    return True, None
+
+
+def reference_extend_to_onto(g, host, mm):
+    """``extend_to_onto`` on named sets: the least free vertex next to some
+    branch set joins the first such set, until none is left."""
+    images = {v: set(s) for v, s in mm.as_dict().items()}
+    adj = reference_neighbors(host)
+    free = set(host.vertices) - set().union(*images.values())
+    while free:
+        hit = next(
+            ((u, v) for u in sorted(free) for v in sorted(images) if adj[u] & images[v]),
+            None,
+        )
+        if hit is None:
+            raise InvalidInputError("unreachable")
+        images[hit[1]].add(hit[0])
+        free.remove(hit[0])
+    out = MinorMap.of(images)
+    if not reference_validate_minor_map(g, host, out, require_onto=True)[0]:
+        raise ConstructionError("broken")
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as err:  # the type is what is compared
+        return type(err)
+
+
+@st.composite
+def maps_into(draw, g, host):
+    """Branch sets for g's vertices in host: a found model, perhaps with one
+    more vertex added to a set; single host vertices, where adjacency alone
+    decides; or random sets that may be empty, overlap, be disconnected or
+    leave the host.  Sometimes a pattern vertex has no set."""
+    names, verts = sorted(host.vertices), sorted(g.vertices)
+    kind = draw(st.sampled_from(["found", "singles", "random"]))
+    found = find_minor(g, host) if kind == "found" else None
+    if found is not None:
+        images = dict(found.as_dict())
+        if draw(st.booleans()):
+            v = draw(st.sampled_from(verts))
+            images[v] = images[v] | {draw(st.sampled_from(names))}
+    elif kind != "random" and len(names) >= len(verts):
+        picks = draw(st.permutations(names))
+        images = {v: frozenset([x]) for v, x in zip(verts, picks)}
+    else:
+        pool = st.sampled_from(names + ["outside"])
+        images = {v: draw(st.frozensets(pool, max_size=3)) for v in verts}
+    if images and draw(st.integers(0, 9)) == 7:
+        del images[draw(st.sampled_from(sorted(images)))]
+    return MinorMap.of(images)
+
+
+class TestMinorMapsMatchReferences:
+    """Validation and the onto extension on host masks against the named
+    versions kept here."""
+
+    @given(hosts_upto7(), patterns_upto5(), st.data())
+    @settings(max_examples=300)
+    def test_random_maps(self, host, g, data):
+        mm = data.draw(maps_into(g, host))
+        for onto in (False, True):
+            assert validate_minor_map(g, host, mm, onto) == (
+                reference_validate_minor_map(g, host, mm, onto)
+            )
+        assert outcome(extend_to_onto, g, host, mm) == (
+            outcome(reference_extend_to_onto, g, host, mm)
+        )
+
+    @given(st.integers(0, 10**6), patterns_upto5())
+    @settings(max_examples=100)
+    def test_onto_extension_of_found_models(self, seed, g):
+        # connected hosts, where free vertices often touch several sets
+        host = sample_hypergraph(random.Random(seed), max_vertices=9, max_edges=7)
+        mm = find_minor(g, host)
+        assume(mm is not None)
+        assert extend_to_onto(g, host, mm) == reference_extend_to_onto(g, host, mm)
+
+    def test_outside_vertex_is_a_construction_error(self):
+        mm = MinorMap.of({"a": {"x", "outside"}, "b": {"y"}})
+        with pytest.raises(ConstructionError):
+            extend_to_onto(H("ab"), H("xy", "yz"), mm)
 
 
 class TestPinnedSearch:
