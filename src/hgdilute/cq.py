@@ -9,9 +9,11 @@ variable set, so atoms sharing a variable set collapse onto one edge.
 ``reduce_along_dilution`` walks a dilution sequence backwards and rebuilds,
 for each step, a query/database pair over the pre-step hypergraph whose
 solutions project onto the original ones and whose solution *count* is
-exactly preserved.  Fresh constants (one reserved token stream, disjoint from
-the input's active domain) link the rebuilt relations through functional
-dependence on the reintroduced variable.
+exactly preserved.  Each reverse step reads the step's edge image
+(``dilution._step``) for the edge every pre-step edge became, so it never
+works the step out again.  Fresh constants (one reserved token stream,
+disjoint from the input's active domain) link the rebuilt relations through
+functional dependence on the reintroduced variable.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from dataclasses import dataclass
 from .decomposition import WidthReport, exact_ghw
 from .errors import ConstructionError, InvalidInputError, LimitExceededError
 from .hypergraph import Hypergraph, edge_key, isomorphic
-from .dilution import (
-    DeleteSubedge,
-    DeleteVertex,
-    DilutionSequence,
-    MergeOn,
-    apply_sequence_states,
-)
+from .dilution import DeleteSubedge, DeleteVertex, DilutionSequence, _walk
 
 FRESH_PREFIX = "_fresh_"
 _FRESH_RE = re.compile(r"_fresh_\d+$")
@@ -410,7 +406,7 @@ def reduce_along_dilution(
             raise InvalidInputError(f"constant {c!r} collides with reserved tokens")
 
     q1, d1 = eliminate_self_joins(q, d)
-    states = apply_sequence_states(h, seq)
+    states, images = _walk(h, seq)
     wit = isomorphic(hypergraph_of(q1), states[-1])
     if wit is None:
         raise InvalidInputError(
@@ -424,9 +420,8 @@ def reduce_along_dilution(
     symgen = _SymbolGen(set(rels))
     sizes = [cur_d.size()]
 
-    for idx in range(len(seq.steps) - 1, -1, -1):
-        prev_h, step = states[idx], seq.steps[idx]
-        cur_q, cur_d = _reverse_step(cur_q, cur_d, prev_h, step, symgen)
+    for step, image in zip(reversed(seq.steps), reversed(images)):
+        cur_q, cur_d = _reverse_step(cur_q, cur_d, step, image, symgen)
         sizes.append(cur_d.size())
 
     want = Hypergraph.make(states[0].edges)
@@ -437,64 +432,15 @@ def reduce_along_dilution(
     return DilutionReduction(cur_q, cur_d, rename_pairs, tuple(sizes))
 
 
-def _reverse_step(q, d, prev_h, step, symgen):
+def _reverse_step(q, d, step, image, symgen):
+    """Undo one step: rebuild (q, d) over the edges before it, ``image``
+    mapping each of them to the edge it became."""
     atoms = _atom_by_edge(q)
     rels = d.relations_dict()
 
-    if isinstance(step, DeleteVertex):
-        v = step.vertex
-        incident = sorted(prev_h._incidence[v], key=edge_key)
-        new_atoms: list[Atom] = []
-        new_rels: dict[str, tuple] = {}
-        for f in sorted(prev_h.edges, key=edge_key):
-            if v in f:
-                continue
-            a = atoms[f]
-            new_atoms.append(a)
-            new_rels[a.relation] = rels[a.relation]
-        for e in incident:
-            base = atoms[e - {v}]
-            sym = symgen.next()
-            new_atoms.append(Atom(sym, base.args + (v,)))
-            new_rels[sym] = tuple(
-                sorted(row + (_fresh_constant(0),) for row in rels[base.relation])
-            )
-        return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
-
-    if isinstance(step, MergeOn):
-        v = step.vertex
-        incident = sorted(prev_h._incidence[v], key=edge_key)
-        merged = frozenset().union(*incident) - {v}
-        base = atoms[merged]
-        rows = sorted(rels[base.relation])
-        extended = [
-            row + (_fresh_constant(i + 1),) for i, row in enumerate(rows)
-        ]
-        pos = {var: i for i, var in enumerate(base.args)}
-        pos[v] = len(base.args)
-        new_atoms = []
-        new_rels = {}
-        for f in sorted(prev_h.edges, key=edge_key):
-            if f in atoms and v not in f:
-                a = atoms[f]
-                new_atoms.append(a)
-                new_rels[a.relation] = rels[a.relation]
-        for e in incident:
-            args = tuple(sorted(e - {v})) + (v,)
-            cols = [pos[var] for var in args]
-            sym = symgen.next()
-            new_atoms.append(Atom(sym, args))
-            new_rels[sym] = tuple(
-                sorted({tuple(row[c] for c in cols) for row in extended})
-            )
-        return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
-
     if isinstance(step, DeleteSubedge):
         f = step.edge
-        supers = sorted(
-            (e for e in prev_h.edges if f < e), key=edge_key
-        )
-        host = atoms[supers[0]]
+        host = atoms[image[f]]
         pos = {var: i for i, var in enumerate(host.args)}
         args = tuple(sorted(f))
         cols = [pos[var] for var in args]
@@ -506,7 +452,43 @@ def _reverse_step(q, d, prev_h, step, symgen):
         )
         return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
 
-    raise InvalidInputError(f"unknown step {step!r}")
+    # a vertex deletion or a merge on v: the edges without v keep their atoms,
+    # and each edge at v gets a fresh one with v as its last argument
+    v = step.vertex
+    new_atoms = []
+    new_rels = {}
+    incident = []
+    for e in sorted(image, key=edge_key):
+        if v in e:
+            incident.append(e)
+        else:
+            a = atoms[e]
+            new_atoms.append(a)
+            new_rels[a.relation] = rels[a.relation]
+
+    if isinstance(step, DeleteVertex):
+        for e in incident:
+            base = atoms[image[e]]
+            sym = symgen.next()
+            new_atoms.append(Atom(sym, base.args + (v,)))
+            new_rels[sym] = tuple(
+                sorted(row + (_fresh_constant(0),) for row in rels[base.relation])
+            )
+        return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
+
+    # merge: one fresh constant per row of the merged edge's relation
+    base = atoms[image[incident[0]]]
+    rows = sorted(rels[base.relation])
+    extended = [row + (_fresh_constant(i + 1),) for i, row in enumerate(rows)]
+    pos = {var: i for i, var in enumerate(base.args)}
+    pos[v] = len(base.args)
+    for e in incident:
+        args = tuple(sorted(e, key=lambda var: (var == v, var)))
+        cols = [pos[var] for var in args]
+        sym = symgen.next()
+        new_atoms.append(Atom(sym, args))
+        new_rels[sym] = tuple(sorted({tuple(row[c] for c in cols) for row in extended}))
+    return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
 
 
 # -- cores and semantic width --------------------------------------------------

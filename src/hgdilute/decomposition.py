@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dilution import merge_on
+from .dilution import MergeOn, _step
 from .errors import ConstructionError, InvalidInputError, LimitExceededError
 from .hypergraph import Hypergraph, _adjacency, _mask, dual_with_map, edge_key
 
@@ -133,7 +133,7 @@ def validate_td(h: Hypergraph, td: TreeDecomposition) -> tuple[bool, str | None]
 def validate_ghd(h: Hypergraph, ghd: GHDecomposition) -> tuple[bool, str | None]:
     """Tree-decomposition validity plus the per-node cover condition."""
     covers = ghd.cover_of()
-    if set(covers) != set(ghd.td.nodes):
+    if len(covers) != len(ghd.covers) or set(covers) != set(ghd.td.nodes):
         return False, "covers do not match node set"
     for n, lam in covers.items():
         for e in lam:
@@ -457,9 +457,10 @@ def exact_ghw(
 def merge_transform(h: Hypergraph, ghd: GHDecomposition, v: str) -> GHDecomposition:
     """Rebuild a cover decomposition for the hypergraph after merging on v.
 
-    Every cover that used an edge at v swaps those edges for the single merged
-    edge; bags along the subtree whose bags contain v absorb the merged edge
-    and drop v.  The width never increases.
+    Every cover edge becomes its image under the merge (``dilution._step``),
+    so a cover that used edges at v holds the single merged edge instead;
+    bags along the subtree whose bags contain v absorb the merged edge and
+    drop v.  The width never increases.
     """
     ok, why = validate_ghd(h, ghd)
     if not ok:
@@ -469,22 +470,18 @@ def merge_transform(h: Hypergraph, ghd: GHDecomposition, v: str) -> GHDecomposit
     incident = h._incidence[v]
     if not incident:
         raise InvalidInputError(f"vertex {v!r} has degree 0, nothing to merge")
-    merged = frozenset().union(*incident) - {v}
+    merged_h, image = _step(h, MergeOn(v))
+    merged = image[next(iter(incident))]
 
     new_bags = []
     for n, b in ghd.td.bags:
         new_bags.append((n, (b - {v}) | merged if v in b else b))
-    new_covers = []
-    for n, lam in ghd.covers:
-        if lam & incident:
-            new_covers.append((n, (lam - incident) | {merged}))
-        else:
-            new_covers.append((n, lam))
+    new_covers = [(n, frozenset([image[e] for e in lam])) for n, lam in ghd.covers]
     out = GHDecomposition(
         TreeDecomposition(ghd.td.nodes, ghd.td.parents, tuple(new_bags)),
         tuple(new_covers),
     )
-    ok, why = validate_ghd(merge_on(h, v), out)
+    ok, why = validate_ghd(merged_h, out)
     if not ok:  # pragma: no cover - transform invariant
         raise ConstructionError(
             f"merge transform produced invalid decomposition: {why}"

@@ -20,9 +20,14 @@ frozenset of edge masks over its vertices in name order, each step a few bit
 operations, and each child is born in the index form the labelling core
 (``hypergraph._canonical_index``) takes.  A child whose index form the sweep
 has met before is skipped before any labelling, and named ``Step`` values are
-built only for the states the sweep yields.  The named step functions below
-(``apply_step``, ``valid_steps``) are the public API and the reference the
-mask steps are tested against.
+built only for the states the sweep yields.
+
+``_step`` is the one place that gives step semantics on named hypergraphs:
+it returns the child and the edge image, which says which child edge each
+edge becomes.  ``delete_vertex``, ``delete_subedge``, ``merge_on`` and
+``apply_step`` are views of it, ``_walk`` applies whole sequences, and edge
+labels here, the CQ reduction and the merge transform read its images.  The
+mask steps of the search are tested against it.
 
 What is reachable depends only on the isomorphism class, so
 ``reachable_dilutions`` sweeps certificates and keeps a process-wide memo,
@@ -38,11 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceededError,
-    ConstructionError,
-    InvalidStepError,
-)
+from .errors import BudgetExceededError, InvalidStepError
 from .hypergraph import (
     _CERT_CACHE_MAX,
     DEFAULT_ISO_BUDGET,
@@ -107,41 +108,58 @@ class DilutionSequence:
 # -- single steps ------------------------------------------------------------
 
 
+def _step(h: Hypergraph, step: Step) -> tuple[Hypergraph, dict[frozenset, frozenset]]:
+    """The child of h under step, and its edge image: each edge of h mapped
+    to the child edge it becomes.
+
+    Deleting v sends e to e - {v}; deleting subedge f sends f to its first
+    proper superedge in ``edge_key`` order; merging on v sends every edge at
+    v to their union minus v; every other edge maps to itself.  The child's
+    edges are exactly the image's values.
+    """
+    if isinstance(step, DeleteVertex):
+        v = step.vertex
+        if v not in h.vertices:
+            raise InvalidStepError(f"cannot delete unknown vertex {v!r}")
+        image = {e: e - {v} for e in h.edges}
+        return Hypergraph(h.vertices - {v}, frozenset(image.values())), image
+    if isinstance(step, DeleteSubedge):
+        f = frozenset(step.edge)
+        if f not in h.edges:
+            raise InvalidStepError(f"edge {sorted(f)} not present")
+        supers = [e for e in h.edges if f < e]
+        if not supers:
+            raise InvalidStepError(f"edge {sorted(f)} is not a proper subset of another edge")
+        image = {e: e for e in h.edges}
+        image[f] = min(supers, key=edge_key)
+        return Hypergraph(h.vertices, h.edges - {f}), image
+    if isinstance(step, MergeOn):
+        v = step.vertex
+        if v not in h.vertices:
+            raise InvalidStepError(f"cannot merge on unknown vertex {v!r}")
+        incident = h._incidence[v]
+        if not incident:
+            raise InvalidStepError(f"vertex {v!r} has degree 0, nothing to merge")
+        merged = frozenset().union(*incident) - {v}
+        image = {e: merged if v in e else e for e in h.edges}
+        return Hypergraph(h.vertices - {v}, (h.edges - incident) | {merged}), image
+    raise InvalidStepError(f"unknown step {step!r}")
+
+
 def delete_vertex(h: Hypergraph, v: str) -> Hypergraph:
-    if v not in h.vertices:
-        raise InvalidStepError(f"cannot delete unknown vertex {v!r}")
-    return Hypergraph(
-        h.vertices - {v}, frozenset(e - {v} for e in h.edges)
-    )
+    return _step(h, DeleteVertex(v))[0]
 
 
 def delete_subedge(h: Hypergraph, e) -> Hypergraph:
-    e = frozenset(e)
-    if e not in h.edges:
-        raise InvalidStepError(f"edge {sorted(e)} not present")
-    if not any(e < f for f in h.edges):
-        raise InvalidStepError(f"edge {sorted(e)} is not a proper subset of another edge")
-    return Hypergraph(h.vertices, h.edges - {e})
+    return _step(h, DeleteSubedge(frozenset(e)))[0]
 
 
 def merge_on(h: Hypergraph, v: str) -> Hypergraph:
-    if v not in h.vertices:
-        raise InvalidStepError(f"cannot merge on unknown vertex {v!r}")
-    incident = h._incidence[v]
-    if not incident:
-        raise InvalidStepError(f"vertex {v!r} has degree 0, nothing to merge")
-    merged = frozenset().union(*incident) - {v}
-    return Hypergraph(h.vertices - {v}, (h.edges - incident) | {merged})
+    return _step(h, MergeOn(v))[0]
 
 
 def apply_step(h: Hypergraph, step: Step) -> Hypergraph:
-    if isinstance(step, DeleteVertex):
-        return delete_vertex(h, step.vertex)
-    if isinstance(step, DeleteSubedge):
-        return delete_subedge(h, step.edge)
-    if isinstance(step, MergeOn):
-        return merge_on(h, step.vertex)
-    raise InvalidStepError(f"unknown step {step!r}")
+    return _step(h, step)[0]
 
 
 def valid_steps(h: Hypergraph) -> list[Step]:
@@ -157,7 +175,9 @@ def valid_steps(h: Hypergraph) -> list[Step]:
 # -- sequences ---------------------------------------------------------------
 
 
-def _check_fingerprint(h: Hypergraph, seq: DilutionSequence):
+def _walk(h: Hypergraph, seq: DilutionSequence) -> tuple[list[Hypergraph], list[dict]]:
+    """Every state of seq from h, source first, and the edge image of each
+    step; a failing step's error carries its index."""
     if seq.source_vertices is not None and seq.source_vertices != len(h.vertices):
         raise InvalidStepError(
             f"sequence fingerprint expects {seq.source_vertices} vertices, "
@@ -168,6 +188,15 @@ def _check_fingerprint(h: Hypergraph, seq: DilutionSequence):
             f"sequence fingerprint expects {seq.source_edges} edges, "
             f"source has {len(h.edges)}"
         )
+    states, images = [h], []
+    for i, step in enumerate(seq):
+        try:
+            child, image = _step(states[-1], step)
+        except InvalidStepError as err:
+            raise InvalidStepError(str(err), index=i) from None
+        states.append(child)
+        images.append(image)
+    return states, images
 
 
 def apply_sequence(h: Hypergraph, seq: DilutionSequence) -> Hypergraph:
@@ -176,14 +205,7 @@ def apply_sequence(h: Hypergraph, seq: DilutionSequence) -> Hypergraph:
 
 def apply_sequence_states(h: Hypergraph, seq: DilutionSequence) -> list[Hypergraph]:
     """All intermediate hypergraphs, source first, result last."""
-    _check_fingerprint(h, seq)
-    states = [h]
-    for i, step in enumerate(seq):
-        try:
-            states.append(apply_step(states[-1], step))
-        except InvalidStepError as err:
-            raise InvalidStepError(str(err), index=i) from None
-    return states
+    return _walk(h, seq)[0]
 
 
 def verify_dilution(
@@ -492,31 +514,17 @@ class EdgeLabeling:
 def track_labels(h_src: Hypergraph, seq: DilutionSequence) -> EdgeLabeling:
     """Edge provenance through a dilution sequence.
 
-    Rules per step: when a vertex deletion collapses edges, the surviving edge
-    takes the union of their labels; deleting a subedge folds its label onto
-    its smallest proper superedge; merging unions the labels of every edge
-    incident to the merged vertex.  Labels of distinct surviving edges stay
-    pairwise disjoint throughout.
+    Each step's edge image (``_step``) says which edge every edge becomes;
+    a new edge's label is the union of the labels of the edges mapped onto
+    it.  So a vertex deletion that collapses edges unions their labels, a
+    deleted subedge folds its label onto its first proper superedge, and a
+    merge unions the labels of every edge at the merged vertex.  Labels of
+    distinct surviving edges stay pairwise disjoint throughout.
     """
-    states = apply_sequence_states(h_src, seq)
     labels: dict[frozenset, frozenset] = {e: frozenset([e]) for e in h_src.edges}
-    for step, cur in zip(seq, states):
-        if isinstance(step, DeleteVertex):
-            new_labels: dict[frozenset, frozenset] = {}
-            for e, lab in labels.items():
-                shrunk = e - {step.vertex}
-                new_labels[shrunk] = new_labels.get(shrunk, frozenset()) | lab
-            labels = new_labels
-        elif isinstance(step, DeleteSubedge):
-            supers = sorted((f for f in cur.edges if step.edge < f), key=edge_key)
-            host = supers[0]
-            dropped = labels.pop(step.edge)
-            labels[host] = labels[host] | dropped
-        else:  # MergeOn
-            incident = cur._incidence[step.vertex]
-            merged = frozenset().union(*incident) - {step.vertex}
-            union = frozenset().union(*(labels.pop(e) for e in incident))
-            labels[merged] = labels.get(merged, frozenset()) | union
-    if set(labels) != set(states[-1].edges):  # pragma: no cover - labelling invariant
-        raise ConstructionError("edge labels do not match the final edges")
+    for image in _walk(h_src, seq)[1]:
+        folded: dict[frozenset, frozenset] = {}
+        for e, lab in labels.items():
+            folded[image[e]] = folded.get(image[e], frozenset()) | lab
+        labels = folded
     return EdgeLabeling(tuple(sorted(labels.items(), key=lambda kv: edge_key(kv[0]))))

@@ -25,11 +25,12 @@ class InvalidStepError(InvalidInputError):
     """A dilution step does not apply to the hypergraph at hand.
 
     ``index`` is the position of the failing step when a whole sequence was
-    being applied, else None.
+    being applied, counted from 0, else None.  The message counts steps from
+    1, as sequence files and their parse errors do.
     """
 
     def __init__(self, message: str, index: int | None = None):
-        super().__init__(message if index is None else f"step {index}: {message}")
+        super().__init__(message if index is None else f"step {index + 1}: {message}")
         self.index = index
 
 

@@ -177,6 +177,14 @@ class TestDilutionCommands:
         seq.write_text("delv zz\n")
         assert main(["dilute", str(src), str(seq)]) == 2
 
+    def test_failing_step_numbered_from_one(self, tmp_path, capsys):
+        src = tmp_path / "src.hg"
+        src.write_text("e1(a,b)\n")
+        seq = tmp_path / "bad.dseq"
+        seq.write_text("delv a\ndelv zz\n")
+        assert main(["dilute", str(src), str(seq)]) == 2
+        assert capsys.readouterr().err == "error: step 2: cannot delete unknown vertex 'zz'\n"
+
     def test_json_step_missing_vertex_exit_2(self, tmp_path, capsys):
         src = tmp_path / "src.hg"
         src.write_text("e1(a,b)\n")

@@ -107,6 +107,9 @@ class TestValidators:
         bad = GHDecomposition(td, (("t1", frozenset([frozenset("ab")])),))
         ok, _ = validate_ghd(h, bad)
         assert not ok
+        # a node listed twice: the first cover would go unchecked
+        twice = GHDecomposition(td, (("t1", frozenset([frozenset("xy")])),) + good.covers)
+        assert validate_ghd(h, twice) == (False, "covers do not match node set")
 
     def test_ghd_nonedge_cover_raises(self):
         h = H("ab")
