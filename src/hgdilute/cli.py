@@ -44,7 +44,14 @@ from .errors import (
     InvalidInputError,
     ParseError,
 )
-from .generators import grid, jigsaw, mesh, random_hypergraph, subdivided_jigsaw
+from .generators import (
+    _check_jigsaw_dims,
+    grid,
+    jigsaw,
+    mesh,
+    random_hypergraph,
+    subdivided_jigsaw,
+)
 from .hypergraph import Hypergraph, dual, dual_with_map, primal_graph
 from .minors import (
     decide_dilution,
@@ -212,6 +219,7 @@ def _cmd_width(args) -> int:
 
 
 def _cmd_jigsaw_extract(args) -> int:
+    _check_jigsaw_dims(args.n, args.n)
     h, _ = _load_hypergraph(args.hypergraph)
     if h.max_degree() > 2:
         raise InvalidInputError("jigsaw extraction needs degree at most 2")
@@ -231,6 +239,7 @@ def _cmd_jigsaw_extract(args) -> int:
 
 
 def _cmd_prejigsaw_extract(args) -> int:
+    _check_jigsaw_dims(args.n, args.n)
     h, _ = _load_hypergraph(args.hypergraph)
     h_red, _ = reduce_hypergraph(h)
     d, _ = dual_with_map(h_red)

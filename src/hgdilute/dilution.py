@@ -18,9 +18,11 @@ states, the budget used and the returned sequences are unchanged.
 The search runs on int masks, not on named hypergraphs: a state is a
 frozenset of edge masks over its vertices in name order, each step a few bit
 operations, and each child is born in the index form the labelling core
-(``hypergraph._canonical_index``) takes.  A child whose index form the sweep
-has met before is skipped before any labelling, and named ``Step`` values are
-built only for the states the sweep yields.
+(``hypergraph._canonical_index``) takes.  ``_children`` is the one place a
+sweep steps, drops a child below its size floor, skips an index form it has
+met before and labels the rest; both sweeps, ``search_dilution`` and
+``reachable_dilutions``, run on it.  Named ``Step`` values are built only
+for the states the search finds.
 
 ``_step`` is the one place that gives step semantics on named hypergraphs:
 it returns the child and the edge image, which says which child edge each
@@ -325,77 +327,49 @@ def _named_step(kind: int, x: int, names) -> Step:
     return DeleteSubedge(frozenset([names[i] for i in _bits(x)]))
 
 
-def _children(n: int, edges, gens):
-    """The children of the state on vertices ``0..n-1`` with edge masks
-    ``edges``, along the steps of ``_index_steps`` in its order: yields
-    ``(kind, x, child_n, child)``, the child a frozenset of edge masks.
+def _children(form: tuple, labelled: dict, floor: tuple[int, int]):
+    """The children of a sweep state ``form`` = ``(n, edges, gens)``, on
+    vertices ``0..n-1`` with edge masks ``edges``, along the steps of
+    ``_index_steps`` in its order: yields ``(kind, x, cert, child form)``.
+
+    A child with fewer vertices or edges than ``floor`` is dropped before
+    any labelling.  The rest are looked up in the sweep's ``labelled``
+    table (index form -> certificate) and labelled, and entered there, only
+    on a miss; the child form ``(n, edges, gens)`` is given for a child
+    just labelled and None for an index form met before.
 
     Deleting or merging on vertex x squeezes bit x out of every mask, so
     each child is already in its own order-preserving index form.
     """
+    n, edges, gens = form
+    min_vertices, min_edges = floor
     for kind, x in _index_steps(n, edges, gens):
         if kind == _DELETE_SUBEDGE:
-            yield kind, x, n, edges - {x}
+            child_n, child = n, edges - {x}
+        else:
+            rest = edges
+            if kind == _MERGE_ON:
+                bit, merged, rest = 1 << x, 0, []
+                for e in edges:
+                    if e & bit:
+                        merged |= e
+                    else:
+                        rest.append(e)
+                rest.append(merged)
+            low, high = (1 << x) - 1, -1 << x
+            child_n = n - 1
+            child = frozenset([e & low | e >> 1 & high for e in rest])
+        if child_n < min_vertices or len(child) < min_edges:
             continue
-        rest = edges
-        if kind == _MERGE_ON:
-            bit, merged, rest = 1 << x, 0, []
-            for e in edges:
-                if e & bit:
-                    merged |= e
-                else:
-                    rest.append(e)
-            rest.append(merged)
-        low, high = (1 << x) - 1, -1 << x
-        yield kind, x, n - 1, frozenset([e & low | e >> 1 & high for e in rest])
-
-
-def _new_states(
-    h: Hypergraph, cert: tuple, gens, budget: int, min_vertices: int, min_edges: int
-):
-    """Breadth-first sweep of the states reachable from h by dilution.
-
-    Yields ``(cert, parent, step)`` for each state not seen before, in
-    discovery order; ``parent`` is the position of the parent among the
-    states yielded so far, or -1 for h itself, whose certificate is ``cert``
-    and index-space generators ``gens``.  Children below the size floor are
-    dropped, the children come from ``_children``, and expanding more than
-    ``budget`` states raises.
-
-    A state is its vertex names and a frozenset of edge masks over their
-    positions.  A child that repeats an index form met before in this sweep
-    has a certificate already seen and is skipped unlabelled.  Named steps
-    are built only for the states yielded.
-    """
-    names, (n, masks) = h._index_form
-    seen = {cert}
-    labelled = {(n, frozenset(masks))}
-    queue: deque[tuple] = deque([(names, frozenset(masks), gens, -1)])
-    expanded = found = 0
-    while queue:
-        names, edges, gens, at = queue.popleft()
-        expanded += 1
-        if expanded > budget:
-            raise BudgetExceededError(
-                f"dilution search exceeded {budget} expanded states"
-            )
-        n = len(names)
-        for kind, x, child_n, child in _children(n, edges, gens):
-            if child_n < min_vertices or len(child) < min_edges:
-                continue
-            if (child_n, child) in labelled:
-                continue
-            labelled.add((child_n, child))
-            cert, _, child_gens = _canonical_index(
-                (child_n, tuple(sorted(child))), DEFAULT_ISO_BUDGET
-            )
-            if cert in seen:
-                continue
-            seen.add(cert)
-            child_names = names if child_n == n else names[:x] + names[x + 1 :]
-            queue.append((child_names, child, child_gens, found))
-            found += 1
-            yield cert, at, _named_step(kind, x, names)
+        cert = labelled.get((child_n, child))
+        if cert is not None:
+            yield kind, x, cert, None
+            continue
+        cert, _, child_gens = _canonical_index(
+            (child_n, tuple(sorted(child))), DEFAULT_ISO_BUDGET
+        )
+        labelled[child_n, child] = cert
+        yield kind, x, cert, (child_n, child, child_gens)
 
 
 def search_dilution(
@@ -407,28 +381,50 @@ def search_dilution(
 
     States are deduplicated by canonical form, and of the steps that a
     state's automorphisms map onto one another only the first is expanded.
+    Children below the target's vertex or edge count are never labelled.
     Returns None only after the pruned state space is exhausted, i.e. absence
     is proven; hitting the budget raises instead.  Deciding this question is
     NP-hard in general, so the budget is the contract.
     """
     target_cert = canonical_form(h_target)
-    src_cert, _, src_gens = _canonical_index(h_src._index_form[1], DEFAULT_ISO_BUDGET)
+    names, (n, masks) = h_src._index_form
+    src_cert, _, src_gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
     if src_cert == target_cert:
         return DilutionSequence.for_source(h_src, ())
-    min_vertices, min_edges = len(h_target.vertices), len(h_target.edges)
-    if len(h_src.vertices) < min_vertices or len(h_src.edges) < min_edges:
+    floor = len(h_target.vertices), len(h_target.edges)
+    if len(h_src.vertices) < floor[0] or len(h_src.edges) < floor[1]:
         return None
-    # trail[i] is (parent position, step) of the i-th state found
+    seen = {src_cert}
+    labelled = {(n, frozenset(masks)): src_cert}  # index form -> certificate
+    # trail[i] is (parent position, step) of the i-th state found; a queued
+    # state is its vertex names, its form and its position (-1 for h_src)
     trail: list[tuple[int, Step]] = []
-    states = _new_states(h_src, src_cert, src_gens, budget, min_vertices, min_edges)
-    for cert, at, step in states:
-        if cert == target_cert:
-            steps = [step]
-            while at >= 0:
-                at, prev = trail[at]
-                steps.append(prev)
-            return DilutionSequence.for_source(h_src, reversed(steps))
-        trail.append((at, step))
+    queue: deque[tuple] = deque([(names, (n, frozenset(masks), src_gens), -1)])
+    expanded = 0
+    while queue:
+        names, form, at = queue.popleft()
+        expanded += 1
+        if expanded > budget:
+            raise BudgetExceededError(
+                f"dilution search exceeded {budget} expanded states"
+            )
+        for kind, x, cert, child_form in _children(form, labelled, floor):
+            # an index form met before has its certificate seen already
+            if child_form is None or cert in seen:
+                continue
+            step = _named_step(kind, x, names)
+            if cert == target_cert:
+                steps = [step]
+                while at >= 0:
+                    at, prev = trail[at]
+                    steps.append(prev)
+                return DilutionSequence.for_source(h_src, reversed(steps))
+            seen.add(cert)
+            trail.append((at, step))
+            child_names = (
+                names if kind == _DELETE_SUBEDGE else names[:x] + names[x + 1 :]
+            )
+            queue.append((child_names, child_form, len(trail) - 1))
     return None
 
 
@@ -437,16 +433,16 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
 
     Exhaustive; used to answer many containment queries against one source in
     a single sweep.  The sweep is breadth-first over certificates.  A state is
-    expanded as in ``search_dilution``, one step per orbit of its
-    automorphisms, from the index form and generators it was labelled with.
-    Once its expansion has finished, the certificates of all its children go
-    into the process-wide, capped ``_reach_memo`` under its certificate; a
-    later sweep from any source that meets the certificate reads them there
-    instead.  A certificate met only in a memo entry and without an entry of
-    its own is expanded from its own index form.  The budget still counts
-    states, one per certificate taken from the queue, so the result and the
-    least budget that succeeds (the size of the result) are the same whether
-    the memo is warm or cold.
+    expanded by ``_children`` as in ``search_dilution``, with no size floor,
+    from the index form and generators it was labelled with.  Once its
+    expansion has finished, the certificates of all its children go into the
+    process-wide, capped ``_reach_memo`` under its certificate; a later sweep
+    from any source that meets the certificate reads them there instead.  A
+    certificate met only in a memo entry and without an entry of its own is
+    expanded from its own index form.  The budget still counts states, one
+    per certificate taken from the queue, so the result and the least budget
+    that succeeds (the size of the result) are the same whether the memo is
+    warm or cold.
     """
     n, masks = h_src._index_form[1]
     start, _, gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
@@ -471,14 +467,9 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
                 gens = _canonical_index((n, tuple(masks)), DEFAULT_ISO_BUDGET)[2]
                 form = (n, frozenset(masks), gens)
             certs = []
-            for _, _, child_n, child in _children(*form):
-                c = labelled.get((child_n, child))
-                if c is None:
-                    c, _, child_gens = _canonical_index(
-                        (child_n, tuple(sorted(child))), DEFAULT_ISO_BUDGET
-                    )
-                    labelled[child_n, child] = c
-                    forms.setdefault(c, (child_n, child, child_gens))
+            for _, _, c, child_form in _children(form, labelled, (0, 0)):
+                if child_form is not None:
+                    forms.setdefault(c, child_form)
                 certs.append(c)
             children = tuple(dict.fromkeys(certs))
             if len(_reach_memo) < _CERT_CACHE_MAX:

@@ -61,10 +61,15 @@ def jigsaw_edge_name(i: int, j: int) -> str:
     return f"e{i}_{j}"
 
 
-def jigsaw_named_edges(n: int, m: int) -> dict[str, frozenset]:
-    """Jigsaw edges keyed by their canonical grid-position names."""
+def _check_jigsaw_dims(n: int, m: int) -> None:
+    """Raise unless an n x m jigsaw exists: it needs two grid vertices."""
     if n < 1 or m < 1 or n * m < 2:
         raise InvalidInputError("jigsaw needs n, m >= 1 and n*m >= 2")
+
+
+def jigsaw_named_edges(n: int, m: int) -> dict[str, frozenset]:
+    """Jigsaw edges keyed by their canonical grid-position names."""
+    _check_jigsaw_dims(n, m)
     edge_names = _grid_edge_names(n, m)
     named = {}
     for i in range(1, n + 1):

@@ -256,6 +256,17 @@ class TestExtractCommands:
         src.write_text("e1(a,b)\ne2(b,c)\n")
         assert main(["jigsaw-extract", str(src), "-n", "2"]) == 1
 
+    @pytest.mark.parametrize("command", ["jigsaw-extract", "prejigsaw-extract"])
+    @pytest.mark.parametrize(
+        "host", [mesh(2, 2), Hypergraph.make([()])], ids=["mesh22", "empty_edge"]
+    )
+    def test_extract_needs_two_grid_vertices(self, tmp_path, command, host, capsys):
+        # checked before the minor search, with the jigsaw generator's rule
+        src = tmp_path / "h.hg"
+        src.write_text(write_hypergraph(host))
+        assert main([command, str(src), "-n", "1"]) == 2
+        assert capsys.readouterr().err == "error: jigsaw needs n, m >= 1 and n*m >= 2\n"
+
     def test_prejigsaw_extract(self, tmp_path):
         src = tmp_path / "m.hg"
         assert main(["gen", "--family", "mesh", "-n", "4", "-m", "4", "-o", str(src)]) == 0

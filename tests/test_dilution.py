@@ -280,7 +280,8 @@ def assert_search_matches_oracle(src, target):
     expected, expanded = unpruned_search(src, target)
     assert search_dilution(src, target, budget=max(expanded, 1)) == expected
     if expanded:
-        with pytest.raises(BudgetExceededError):
+        message = f"^dilution search exceeded {expanded - 1} expanded states$"
+        with pytest.raises(BudgetExceededError, match=message):
             search_dilution(src, target, budget=expanded - 1)
 
 
@@ -440,6 +441,10 @@ class TestOrbitPruning:
         keys.clear()
         assert search_dilution(src, target) is not None
         assert keys and len(keys) == len(set(keys))
+        # no child below the target's size is labelled
+        assert keys[0] == src._index_form[1]
+        for n, masks in keys[1:]:
+            assert n >= len(target.vertices) and len(masks) >= len(target.edges)
 
     def test_degree2_corpus_matches_unpruned(self):
         """Reachable sets, searched sequences and least budgets on the degree-2
