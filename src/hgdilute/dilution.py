@@ -8,21 +8,28 @@ would only leave an isolated vertex behind.
 
 Every step strictly shrinks the vertex or the edge count and never grows
 either, which bounds sequence length and lets the exhaustive search prune by
-size.  Search states are deduplicated by canonical form, so a ``None`` result
-means proven absence, while running out of budget raises.  Of the steps that
-a state's automorphisms (found by the canonical labelling) map onto one
-another, only the first is expanded: the others lead to isomorphic children,
-which the unpruned search would have found already seen, so the visited
-states, the budget used and the returned sequences are unchanged.
+size.  No step raises a vertex's degree, or the edge count or circuit rank
+of the dual 2-section (``_invariants``), so ``search_dilution`` also drops
+every child that falls short of the target in one of them.  A step removes
+at most one vertex, so the search runs in vertex-count contours, the bound
+of iterative-deepening A*, and labels only children that can still lie on a
+shortest path to the target.  Search states are deduplicated by canonical
+form, so a ``None`` result means proven absence, while running out of
+budget raises.  Of the steps that a state's automorphisms (found by the
+canonical labelling) map onto one another, only the first is expanded: the
+others lead to isomorphic children, which the unpruned search would have
+found already seen, so the visited states, the budget used and the
+returned sequences are unchanged.
 
 The search runs on int masks, not on named hypergraphs: a state is a
 frozenset of edge masks over its vertices in name order, each step a few bit
 operations, and each child is born in the index form the labelling core
 (``hypergraph._canonical_index``) takes.  ``_children`` is the one place a
-sweep steps, drops a child below its size floor, skips an index form it has
-met before and labels the rest; both sweeps, ``search_dilution`` and
-``reachable_dilutions``, run on it.  Named ``Step`` values are built only
-for the states the search finds.
+sweep steps, drops a child below the target's size, failing its cuts or
+beyond the search's contour, looks up an index form it has met before and
+labels the rest; both sweeps, ``search_dilution`` and
+``reachable_dilutions`` (with no target), run on it.  Named ``Step`` values
+are built only for the states the search finds.
 
 ``_step`` is the one place that gives step semantics on named hypergraphs:
 it returns the child and the edge image, which says which child edge each
@@ -42,6 +49,7 @@ answers and least budgets do not depend on what the memo holds.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -51,8 +59,11 @@ from .hypergraph import (
     DEFAULT_ISO_BUDGET,
     Hypergraph,
     IsoWitness,
+    _adjacency,
     _bits,
     _canonical_index,
+    _circuit_rank,
+    _edge_count,
     canonical_form,
     edge_key,
     isomorphic,
@@ -327,22 +338,64 @@ def _named_step(kind: int, x: int, names) -> Step:
     return DeleteSubedge(frozenset([names[i] for i in _bits(x)]))
 
 
-def _children(form: tuple, labelled: dict, floor: tuple[int, int]):
+def _invariants(n: int, masks) -> tuple[list[int], int, int]:
+    """What no step raises, for the vertices ``0..n-1`` with edge masks
+    ``masks``: the degree sequence, largest first, and the edge count and
+    circuit rank of the dual 2-section, ``primal_graph(dual(.))``, whose
+    vertices are the edges, adjacent when they meet.
+
+    A step only removes incidences, and a merge on v leaves each vertex in
+    one of the edges it replaces, so no vertex's degree rises: the target's
+    sorted degrees are bounded entry by entry by those of any state that
+    reaches it.  On the dual 2-section a step is a minor operation: deleting
+    subedge f deletes the vertex f, deleting a vertex deletes adjacencies
+    and contracts edges it makes equal, and a merge contracts the edges at
+    the merged vertex.  Edge count and circuit rank are minor-monotone.
+    """
+    at = [0] * n  # vertex -> mask of the edges at it
+    for i, e in enumerate(masks):
+        while e:
+            b = e & -e
+            e ^= b
+            at[b.bit_length() - 1] |= 1 << i
+    section = _adjacency(len(masks), at)
+    degrees = sorted(map(int.bit_count, at), reverse=True)
+    return degrees, _edge_count(section), _circuit_rank(section)
+
+
+def _may_reach(n: int, masks, goal: tuple[list[int], int, int]) -> bool:
+    """Whether the state passes the cuts of a target with ``_invariants``
+    ``goal``: its degrees dominate the target's entry by entry, and its
+    dual 2-section has at least the target's edges and circuit rank."""
+    degrees, edges, rank = _invariants(n, masks)
+    return (
+        edges >= goal[1]
+        and rank >= goal[2]
+        and all([d >= t for d, t in zip(degrees, goal[0])])
+    )
+
+
+def _children(
+    form: tuple, labelled: dict, target: tuple | None = None, cap: int | None = None
+):
     """The children of a sweep state ``form`` = ``(n, edges, gens)``, on
     vertices ``0..n-1`` with edge masks ``edges``, along the steps of
     ``_index_steps`` in its order: yields ``(kind, x, cert, child form)``.
 
-    A child with fewer vertices or edges than ``floor`` is dropped before
-    any labelling.  The rest are looked up in the sweep's ``labelled``
-    table (index form -> certificate) and labelled, and entered there, only
-    on a miss; the child form ``(n, edges, gens)`` is given for a child
-    just labelled and None for an index form met before.
+    With a ``target``, its vertex and edge count and ``_invariants``, a
+    child with fewer vertices or edges, or one that fails ``_may_reach``,
+    is dropped before any labelling; a child with more than ``cap``
+    vertices is not labelled either, and is yielded with cert and form
+    None, so that the caller sees its bound cut something.  The rest are
+    looked up in the sweep's ``labelled`` table (index form -> certificate
+    and generators, or False for a form the invariants cut) and labelled,
+    and entered there, only on a miss.  Each child form ``(n, edges,
+    gens)`` carries the generators it was labelled with.
 
     Deleting or merging on vertex x squeezes bit x out of every mask, so
     each child is already in its own order-preserving index form.
     """
     n, edges, gens = form
-    min_vertices, min_edges = floor
     for kind, x in _index_steps(n, edges, gens):
         if kind == _DELETE_SUBEDGE:
             child_n, child = n, edges - {x}
@@ -359,17 +412,24 @@ def _children(form: tuple, labelled: dict, floor: tuple[int, int]):
             low, high = (1 << x) - 1, -1 << x
             child_n = n - 1
             child = frozenset([e & low | e >> 1 & high for e in rest])
-        if child_n < min_vertices or len(child) < min_edges:
+        if target is not None:
+            if child_n < target[0] or len(child) < target[1]:
+                continue
+            if cap is not None and child_n > cap:
+                yield kind, x, None, None
+                continue
+        got = labelled.get((child_n, child))
+        if got is None:
+            if target is not None and not _may_reach(child_n, child, target[2]):
+                labelled[child_n, child] = False
+                continue
+            cert, _, child_gens = _canonical_index(
+                (child_n, tuple(sorted(child))), DEFAULT_ISO_BUDGET
+            )
+            labelled[child_n, child] = got = cert, child_gens
+        elif got is False:
             continue
-        cert = labelled.get((child_n, child))
-        if cert is not None:
-            yield kind, x, cert, None
-            continue
-        cert, _, child_gens = _canonical_index(
-            (child_n, tuple(sorted(child))), DEFAULT_ISO_BUDGET
-        )
-        labelled[child_n, child] = cert
-        yield kind, x, cert, (child_n, child, child_gens)
+        yield kind, x, got[0], (child_n, child, got[1])
 
 
 def search_dilution(
@@ -377,55 +437,89 @@ def search_dilution(
     h_target: Hypergraph,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> DilutionSequence | None:
-    """Breadth-first search for a dilution sequence from source to target.
+    """Shortest dilution sequence from source to target, searched in
+    vertex-count contours.
 
     States are deduplicated by canonical form, and of the steps that a
     state's automorphisms map onto one another only the first is expanded.
-    Children below the target's vertex or edge count are never labelled.
-    Returns None only after the pruned state space is exhausted, i.e. absence
-    is proven; hitting the budget raises instead.  Deciding this question is
-    NP-hard in general, so the budget is the contract.
+    A child is never labelled when it has fewer vertices or edges than the
+    target, or when it fails the target's ``_invariants`` (``_may_reach``):
+    no state below it reaches the target.  A source that fails them gives
+    None before any state is expanded.
+
+    The search runs in contours (the bound of iterative-deepening A*: Korf,
+    *Depth-first iterative-deepening*, AI 1985).  A state at depth d with n
+    vertices has f = d + n - (target vertices); contour F admits only
+    states with f <= F, starting at F = f(source) and rising by one.  Each
+    contour is a fresh breadth-first pass in the same step order; a child
+    beyond the contour is not labelled, and a child on its last level, at
+    depth F, is tested against the target but not expanded.  All contours
+    share one table of labelled index forms.  A step removes at most one
+    vertex, so f never falls along a path: every state on a shortest path
+    to a state of the contour lies in it, and a contour replays the plain
+    breadth-first search restricted to its own states, in the same order
+    and with the same discovery parents.  The first contour that meets the
+    target thus returns the plain search's sequence.  When a contour cuts
+    nothing it was the whole pruned search, and None is proven.
+
+    The budget counts distinct states expanded, summed over all contours;
+    hitting it raises.  Deciding this question is NP-hard in general, so
+    the budget is the contract.
     """
     target_cert = canonical_form(h_target)
-    names, (n, masks) = h_src._index_form
+    src_names, (n, masks) = h_src._index_form
     src_cert, _, src_gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
     if src_cert == target_cert:
         return DilutionSequence.for_source(h_src, ())
-    floor = len(h_target.vertices), len(h_target.edges)
-    if len(h_src.vertices) < floor[0] or len(h_src.edges) < floor[1]:
+    t_n, t_masks = h_target._index_form[1]
+    target = t_n, len(t_masks), _invariants(t_n, t_masks)
+    if n < t_n or len(masks) < target[1] or not _may_reach(n, masks, target[2]):
         return None
-    seen = {src_cert}
-    labelled = {(n, frozenset(masks)): src_cert}  # index form -> certificate
-    # trail[i] is (parent position, step) of the i-th state found; a queued
-    # state is its vertex names, its form and its position (-1 for h_src)
-    trail: list[tuple[int, Step]] = []
-    queue: deque[tuple] = deque([(names, (n, frozenset(masks), src_gens), -1)])
-    expanded = 0
-    while queue:
-        names, form, at = queue.popleft()
-        expanded += 1
-        if expanded > budget:
-            raise BudgetExceededError(
-                f"dilution search exceeded {budget} expanded states"
-            )
-        for kind, x, cert, child_form in _children(form, labelled, floor):
-            # an index form met before has its certificate seen already
-            if child_form is None or cert in seen:
-                continue
-            step = _named_step(kind, x, names)
-            if cert == target_cert:
-                steps = [step]
-                while at >= 0:
-                    at, prev = trail[at]
-                    steps.append(prev)
-                return DilutionSequence.for_source(h_src, reversed(steps))
-            seen.add(cert)
-            trail.append((at, step))
-            child_names = (
-                names if kind == _DELETE_SUBEDGE else names[:x] + names[x + 1 :]
-            )
-            queue.append((child_names, child_form, len(trail) - 1))
-    return None
+    src_form = n, frozenset(masks), src_gens
+    labelled = {src_form[:2]: (src_cert, src_gens)}
+    expanded = set()  # certificates of the states expanded in any contour
+    for bound in itertools.count(n - t_n):
+        seen, cut = {src_cert}, False
+        # trail[i] is (parent position, step) of the i-th state found; a
+        # queued state is its vertex names, form, certificate, position (-1
+        # for h_src) and depth
+        trail: list[tuple[int, Step]] = []
+        queue = deque([(src_names, src_form, src_cert, -1, 0)])
+        while queue:
+            names, form, cert, at, depth = queue.popleft()
+            if cert not in expanded:
+                expanded.add(cert)
+                if len(expanded) > budget:
+                    raise BudgetExceededError(
+                        f"dilution search exceeded {budget} expanded states"
+                    )
+            # a vertex step keeps f, a subedge deletion raises it by one
+            cap = form[0] - 1 if depth + form[0] - t_n == bound else None
+            last = depth + 1 == bound
+            for kind, x, c, child_form in _children(form, labelled, target, cap):
+                if c is None:
+                    cut = True
+                    continue
+                if c in seen:
+                    continue
+                step = _named_step(kind, x, names)
+                if c == target_cert:
+                    steps = [step]
+                    while at >= 0:
+                        at, prev = trail[at]
+                        steps.append(prev)
+                    return DilutionSequence.for_source(h_src, reversed(steps))
+                seen.add(c)
+                if last:
+                    cut = True
+                    continue
+                trail.append((at, step))
+                child_names = (
+                    names if kind == _DELETE_SUBEDGE else names[:x] + names[x + 1 :]
+                )
+                queue.append((child_names, child_form, c, len(trail) - 1, depth + 1))
+        if not cut:
+            return None
 
 
 def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) -> set:
@@ -433,11 +527,12 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
 
     Exhaustive; used to answer many containment queries against one source in
     a single sweep.  The sweep is breadth-first over certificates.  A state is
-    expanded by ``_children`` as in ``search_dilution``, with no size floor,
-    from the index form and generators it was labelled with.  Once its
-    expansion has finished, the certificates of all its children go into the
-    process-wide, capped ``_reach_memo`` under its certificate; a later sweep
-    from any source that meets the certificate reads them there instead.  A
+    expanded by ``_children`` as in ``search_dilution``, with no target and
+    so no cut, from the index form and generators it was labelled with.
+    Once its expansion has finished, the certificates of all its children go
+    into the process-wide, capped ``_reach_memo`` under its certificate; a
+    later sweep from any source that meets the certificate reads them there
+    instead.  A
     certificate met only in a memo entry and without an entry of its own is
     expanded from its own index form.  The budget still counts states, one
     per certificate taken from the queue, so the result and the least budget
@@ -447,7 +542,7 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
     n, masks = h_src._index_form[1]
     start, _, gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
     seen = {start}
-    labelled = {(n, frozenset(masks)): start}  # index form -> certificate
+    labelled = {(n, frozenset(masks)): (start, gens)}  # index form -> labelling
     # a state carries the index form and generators it was labelled with,
     # or None when it was met only in a memo entry
     queue: deque[tuple] = deque([(start, (n, frozenset(masks), gens))])
@@ -467,9 +562,8 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
                 gens = _canonical_index((n, tuple(masks)), DEFAULT_ISO_BUDGET)[2]
                 form = (n, frozenset(masks), gens)
             certs = []
-            for _, _, c, child_form in _children(form, labelled, (0, 0)):
-                if child_form is not None:
-                    forms.setdefault(c, child_form)
+            for _, _, c, child_form in _children(form, labelled):
+                forms.setdefault(c, child_form)
                 certs.append(c)
             children = tuple(dict.fromkeys(certs))
             if len(_reach_memo) < _CERT_CACHE_MAX:

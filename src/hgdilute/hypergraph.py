@@ -11,10 +11,12 @@ building their own.  A vertex's *type*, the set of edges at it, is read off
 the cached ``Hypergraph._incidence``.  Vertex sets are int masks over the
 cached index form (vertex i is the i-th name in sorted order): ``_mask``
 turns names into a mask, ``_bits`` a mask back into indices, ``_adjacency``
-gives the primal adjacency as one neighbour mask per vertex, and
-``_mask_components`` the connected pieces of a mask.  ``components`` and
-``is_connected`` are views of those over the index form; ``_shortest_path``
-is the breadth-first search behind ``find_path``.  The plain witness records
+gives the primal adjacency as one neighbour mask per vertex,
+``_mask_components`` the connected pieces of a mask, and ``_edge_count``
+and ``_circuit_rank`` the edge count and number of independent cycles of
+such an adjacency.  ``components`` and ``is_connected`` are views of those
+over the index form; ``_shortest_path`` is the breadth-first search behind
+``find_path``.  The plain witness records
 ``Path``, ``PreJigsawWitness`` and ``IsoWitness`` live here so that
 generators and search code can share them without importing each other.
 
@@ -299,6 +301,17 @@ def _mask_components(adj: list[int], within: int) -> list[int]:
         pieces.append(piece)
         within &= ~piece
     return pieces
+
+
+def _edge_count(adj: list[int]) -> int:
+    """The number of edges of the graph with neighbour masks ``adj``."""
+    return sum(map(int.bit_count, adj)) >> 1
+
+
+def _circuit_rank(adj: list[int]) -> int:
+    """Edges - vertices + components: the number of independent cycles."""
+    pieces = _mask_components(adj, (1 << len(adj)) - 1)
+    return _edge_count(adj) - len(adj) + len(pieces)
 
 
 def components(h: Hypergraph) -> list[frozenset[str]]:

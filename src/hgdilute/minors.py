@@ -82,6 +82,8 @@ from .hypergraph import (
     PreJigsawWitness,
     _adjacency,
     _bits,
+    _circuit_rank,
+    _edge_count,
     _find,
     _mask,
     _mask_components,
@@ -156,16 +158,6 @@ def validate_minor_map(
 
 
 # -- exhaustive minor search --------------------------------------------------
-
-
-def _edge_count(adj: list[int]) -> int:
-    return sum(map(int.bit_count, adj)) >> 1
-
-
-def _circuit_rank(adj: list[int]) -> int:
-    """Edges - vertices + components: the number of independent cycles."""
-    pieces = _mask_components(adj, (1 << len(adj)) - 1)
-    return _edge_count(adj) - len(adj) + len(pieces)
 
 
 def _connected_subsets(nbr: list[int]) -> list[tuple[int, int, int]]:
@@ -541,19 +533,19 @@ def decide_dilution(
 
     On a host of degree at most 2 the paper's degree-2 lemma answers:
     for a connected graph g with at least 3 vertices, dual(g) is a dilution
-    of h iff g is a minor of dual(reduce(h)).  A target of larger degree is
-    no dilution, since no step raises a degree.  A target isomorphic to such
+    of h iff g is a minor of dual(reduce(h)).  A target isomorphic to such
     a dual(g) is decided by ``find_minor`` with ``budget`` placement
     attempts; a found model is made onto and turned into a sequence by
     ``jigsaw_from_grid_minor``.  A "no" of this route rests on the lemma,
     which acceptance criterion 7 checks exhaustively on small hosts, plus
     the complete minor search.  The route's sequence is verified, but it is
     not the shortest.  Every other pair goes to ``search_dilution`` with
-    ``budget`` expanded states, which returns a shortest sequence.
+    ``budget`` expanded states, which returns a shortest sequence; it
+    refuses before expanding a state a target whose sorted degrees the
+    host's do not dominate, at every host degree, since no step raises a
+    degree.
     """
     if h.max_degree() <= 2:
-        if t.max_degree() > 2:
-            return None
         g = _dual_graph(t)
         if g is not None:
             return _dilution_by_minor(h, g, t, budget)

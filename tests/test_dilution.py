@@ -20,22 +20,27 @@ from hgdilute.dilution import (
     delete_vertex,
     merge_on,
     reachable_dilutions,
+    apply_sequence_states,
     reduce_hypergraph,
     search_dilution,
     track_labels,
     valid_steps,
     verify_dilution,
     _index_steps,
+    _invariants,
     _named_step,
 )
 from hgdilute.errors import BudgetExceededError, InvalidStepError
 from hgdilute.hypergraph import (
     Hypergraph,
+    _bits,
     _canonical,
     canonical_form,
+    components,
     dual,
     is_connected,
     isomorphic,
+    primal_graph,
 )
 from hgdilute.formats import fig3_sequence
 from hgdilute.generators import grid, jigsaw, mesh, random_hypergraph
@@ -275,14 +280,97 @@ def unpruned_reachable(h_src):
     return seen
 
 
+def named_invariants(h):
+    """Sorted degrees, largest first, and the edge count and circuit rank of
+    the dual 2-section ``primal_graph(dual(h))``."""
+    section = primal_graph(dual(h))
+    rank = len(section.edges) - len(section.vertices) + len(components(section))
+    degrees = sorted([h.degree(v) for v in h.vertices], reverse=True)
+    return degrees, len(section.edges), rank
+
+
+def passes_cuts(state, target) -> bool:
+    """Whether ``state`` passes the invariant cuts of ``target``: its degrees
+    dominate the target's entry by entry, and its dual 2-section has at
+    least the target's edge count and circuit rank."""
+    degrees, edges, rank = named_invariants(state)
+    t_degrees, t_edges, t_rank = named_invariants(target)
+    dominates = all(d >= t for d, t in zip(degrees, t_degrees))
+    return dominates and edges >= t_edges and rank >= t_rank
+
+
+def index_hypergraph(n, edges):
+    """The hypergraph on the vertices ``str(i)`` for i < n, with edges given
+    as lists of vertex indices."""
+    return Hypergraph.make([map(str, e) for e in edges], map(str, range(n)))
+
+
+def contour_search(h_src, h_target):
+    """The contour-and-cut breadth-first search over every valid step.
+
+    A child below the target's vertex or edge count, or failing
+    ``passes_cuts``, is dropped.  Contour F admits the states at depth d with
+    d + vertices - target vertices <= F, starting at the source's value; a
+    child at depth F is tested against the target but not expanded.  Returns
+    the sequence found (or None) and the number of distinct states expanded
+    over all contours.
+    """
+    target_cert = canonical_form(h_target)
+    if canonical_form(h_src) == target_cert:
+        return DilutionSequence.for_source(h_src, ()), 0
+    t_n, t_m = len(h_target.vertices), len(h_target.edges)
+
+    def admitted(g):
+        big = len(g.vertices) >= t_n and len(g.edges) >= t_m
+        return big and passes_cuts(g, h_target)
+
+    if not admitted(h_src):
+        return None, 0
+    expanded = set()
+    bound = len(h_src.vertices) - t_n
+    while True:
+        seen = {canonical_form(h_src)}
+        queue = deque([(h_src, ())])
+        cut = False
+        while queue:
+            state, path = queue.popleft()
+            expanded.add(canonical_form(state))
+            depth = len(path) + 1
+            for step in valid_steps(state):
+                child = apply_step(state, step)
+                if not admitted(child):
+                    continue
+                if depth + len(child.vertices) - t_n > bound:
+                    cut = True
+                    continue
+                cert = canonical_form(child)
+                if cert in seen:
+                    continue
+                if cert == target_cert:
+                    seq = DilutionSequence.for_source(h_src, path + (step,))
+                    return seq, len(expanded)
+                seen.add(cert)
+                if depth == bound:
+                    cut = True
+                else:
+                    queue.append((child, path + (step,)))
+        if not cut:
+            return None, len(expanded)
+        bound += 1
+
+
 def assert_search_matches_oracle(src, target):
-    """Same sequence as the unpruned search, and the same least budget."""
-    expected, expanded = unpruned_search(src, target)
-    assert search_dilution(src, target, budget=max(expanded, 1)) == expected
-    if expanded:
-        message = f"^dilution search exceeded {expanded - 1} expanded states$"
+    """The unpruned search's sequence, at the least budget of the
+    contour-and-cut reference, which is no more than the unpruned count."""
+    expected, unpruned = unpruned_search(src, target)
+    reference, least = contour_search(src, target)
+    assert reference == expected
+    assert least <= unpruned
+    assert search_dilution(src, target, budget=least) == expected
+    if least:
+        message = f"^dilution search exceeded {least - 1} expanded states$"
         with pytest.raises(BudgetExceededError, match=message):
-            search_dilution(src, target, budget=expanded - 1)
+            search_dilution(src, target, budget=least - 1)
 
 
 @st.composite
@@ -418,16 +506,18 @@ class TestOrbitPruning:
         assert mask_steps(h, gens) == orbit_steps(h, gens)
 
     @pytest.mark.parametrize(
-        "src, target",
+        "src, target, found",
         [
-            (mesh(3, 3), jigsaw(2, 2)),
-            (mesh(3, 4), jigsaw(2, 3)),
-            (grid(3, 3), H("ab", "bc", "ca")),
+            (mesh(3, 3), jigsaw(2, 2), True),
+            (mesh(3, 4), jigsaw(2, 3), True),
+            (grid(3, 3), H("ab", "bc", "ca"), True),
+            (mesh(3, 3), H("abc", "cd", "de", "ea"), True),  # two contours
+            (mesh(3, 3), H("abc", "cde", "aef"), False),  # four contours
         ],
-        ids=["mesh33", "mesh34", "grid33"],
+        ids=["mesh33", "mesh34", "grid33", "mesh33-two-contours", "mesh33-absent"],
     )
     @pytest.mark.usefixtures("empty_cert_cache")
-    def test_each_child_labelled_once(self, monkeypatch, src, target):
+    def test_each_child_labelled_once(self, monkeypatch, src, target, found):
         keys = []
         core = dilution._canonical_index
 
@@ -439,12 +529,14 @@ class TestOrbitPruning:
         reachable_dilutions(src)
         assert keys and len(keys) == len(set(keys))
         keys.clear()
-        assert search_dilution(src, target) is not None
+        assert (search_dilution(src, target) is not None) == found
+        # once across all contours, and never a child below the target's
+        # size or failing a cut
         assert keys and len(keys) == len(set(keys))
-        # no child below the target's size is labelled
         assert keys[0] == src._index_form[1]
         for n, masks in keys[1:]:
             assert n >= len(target.vertices) and len(masks) >= len(target.edges)
+            assert passes_cuts(index_hypergraph(n, map(_bits, masks)), target)
 
     def test_degree2_corpus_matches_unpruned(self):
         """Reachable sets, searched sequences and least budgets on the degree-2
@@ -458,6 +550,52 @@ class TestOrbitPruning:
                 reachable_dilutions(h, budget=len(reach) - 1)
             for target in targets:
                 assert_search_matches_oracle(h, target)
+
+
+class TestCuts:
+    """The invariants the search cuts by never rise along a step."""
+
+    @given(search_sources(), seeds)
+    def test_walks_keep_the_invariants(self, h, seed):
+        seq = random_valid_sequence(h, random.Random(seed), max_steps=6)[0]
+        states = apply_sequence_states(h, seq)
+        for state in states:
+            degrees, edges, rank = named_invariants(state)
+            assert _invariants(*state._index_form[1]) == (degrees, edges, rank)
+        for i, earlier in enumerate(states):
+            for later in states[i + 1 :]:
+                assert passes_cuts(earlier, later)
+            if i:
+                assert len(states[i - 1].vertices) - len(earlier.vertices) <= 1
+
+    def test_reachable_states_pass_the_cuts_of_their_host(self):
+        hosts = _degree2_corpus(max_h_edges=4, max_h_vertices=5) + [
+            H("abc", "abd", "acd", "bcd"),
+            H("abc", "cde", "aef", "bdf"),
+            H("abc", "ab", "bd", "cd", "a", extra="x"),
+            Hypergraph.make(["ab", "bc", "ac", "abc", ""]),
+            grid(2, 3),
+            dual(grid(2, 3)),
+            mesh(2, 3),
+        ]
+        for host in hosts:
+            assert host.max_degree() <= 3
+            for n, edges in reachable_dilutions(host):
+                state = index_hypergraph(n, edges)
+                assert passes_cuts(host, state), (host, state)
+
+    @pytest.mark.parametrize(
+        "src, target",
+        [
+            (mesh(4, 4), H("ab", "ac", "ad")),  # a has degree 3
+            (H("ab", "bc", "cd", "de"), H("ab", "bc", "ca")),  # circuit rank 0 < 1
+            (H("abx", "aby", "z"), H("ab", "bc", "cd")),  # 2-section: 1 edge < 2
+        ],
+        ids=["degree", "circuit-rank", "section-edges"],
+    )
+    def test_source_failing_a_cut_expands_nothing(self, src, target):
+        assert not passes_cuts(src, target)
+        assert search_dilution(src, target, budget=0) is None
 
 
 @contextmanager

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hgdilute.acceptance as acceptance
+import hgdilute.dilution as dilution
 import hgdilute.minors as minors
 from hgdilute.acceptance import _connected_graphs_upto, _degree2_corpus
 from hgdilute.dilution import (
@@ -22,6 +23,8 @@ from hgdilute.generators import grid, jigsaw, mesh, subdivided_jigsaw
 from hgdilute.hypergraph import (
     Hypergraph,
     _adjacency,
+    _circuit_rank,
+    _edge_count,
     canonical_form,
     dual,
     dual_with_map,
@@ -44,8 +47,6 @@ from hgdilute.minors import (
     validate_expressive_minor,
     validate_minor_map,
     validate_prejigsaw,
-    _circuit_rank,
-    _edge_count,
     _host,
     _pattern,
     _wider,
@@ -587,10 +588,11 @@ class TestDecideDilution:
         assert yes > 300
 
     def test_degree_shortcut_does_not_search(self, monkeypatch):
+        # the search's degree cut refuses the source before expanding it
         def no_search(*args, **kwargs):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(minors, "search_dilution", no_search)
+        monkeypatch.setattr(dilution, "_children", no_search)
         monkeypatch.setattr(minors, "find_minor", no_search)
         star = H("ab", "ac", "ad")  # a has degree 3
         assert decide_dilution(mesh(4, 4), star) is None
