@@ -21,9 +21,12 @@ over the index form; ``_shortest_path`` is the breadth-first search behind
 generators and search code can share them without importing each other.
 
 Isomorphism is decided through a canonical certificate computed by iterated
-partition refinement with individualization backtracking, pruned by the
-automorphisms that tied leaves reveal (the individualisation/refinement
-scheme of nauty: McKay & Piperno, *Practical Graph Isomorphism II*, 2014).
+partition refinement with individualization backtracking (the
+individualisation/refinement scheme of nauty: McKay & Piperno, *Practical
+Graph Isomorphism II*, 2014).  Two things prune the tree.  Vertices of one
+type can be swapped freely, so a node whose non-singleton cells each hold a
+single type is a leaf, and one transposition per such vertex seeds the
+automorphisms; the automorphisms that tied leaves reveal prune the rest.
 Pruning only skips subtrees that are images of explored ones, so the
 certificate and the labelling are those of the unpruned search.  The
 certificate is also what search code uses to deduplicate states up to
@@ -375,11 +378,24 @@ def _canonical_index(key: tuple, budget: int):
     """``(certificate, labelling, generators)`` of the index form ``key``.
 
     ``key`` is ``(n, masks)`` as ``Hypergraph._index_form`` builds it, and
-    the result is cached under it.  ``labelling[i]`` is vertex i's canonical position, and
-    each generator is an automorphism as a tuple sending i to ``g[i]``.  The
-    search tree individualises one vertex of the first non-singleton cell per
-    level and refines; the certificate is the smallest edge set over the
-    leaves, the labelling that of the first leaf reaching it.
+    the result is cached under it.  ``labelling[i]`` is vertex i's canonical
+    position, and each generator is an automorphism as a tuple sending i to
+    ``g[i]``.  The search tree individualises one vertex of the first
+    non-singleton cell per level and refines; the certificate is the
+    smallest edge set over the leaves, the labelling that of the first leaf
+    reaching it.
+
+    Vertices of one type (the same set of edges) can be swapped freely.  So
+    the generators start with one transposition per vertex, joining it to
+    the first vertex of its type, and a node whose non-singleton cells each
+    hold vertices of a single type is finished as a leaf, with each cell's
+    vertices in ascending order.  This type cut changes neither the
+    certificate nor the labelling.  Any permutation inside such cells is an
+    automorphism, and individualising one of their vertices splits off only
+    that vertex, so every leaf below the node has the same edge set, and
+    the first of them the full tree reaches, individualising each cell in
+    ascending order, is the ascending one.  The seeded transpositions stand
+    for the ties the cut subtree would have produced.
 
     A leaf whose edge set ties the best or the first leaf yields an
     automorphism.  Since refinement only ever splits cells in place, it maps
@@ -396,23 +412,42 @@ def _canonical_index(key: tuple, budget: int):
     if cached is not None:
         return cached
     n, masks = key
-    edges = [[i for i in range(n) if m >> i & 1] for m in masks]
+    edges = [_bits(m) for m in masks]
     if n == 0:
         result = ((0, tuple(tuple(e) for e in edges)), (), ())
         _cert_cache[key] = result
         return result
-    inc: list[list[int]] = [[] for _ in range(n)]
+    inc: list[list[int]] = [[] for _ in range(n)]  # the edges at each vertex
+    sizes: list[list[int]] = [[] for _ in range(n)]  # and their sizes
     for ei, e in enumerate(edges):
         for v in e:
             inc[v].append(ei)
+            sizes[v].append(len(e))
+    firsts: dict[tuple, int] = {}  # the first vertex of each type
+    kind = [firsts.setdefault(tuple(at), v) for v, at in enumerate(inc)]
+    twins = len(firsts) < n  # whether some vertices share a type
 
     def refine(cells):
+        """Split cells by their vertices' edge signatures until no cell
+        splits; each cell keeps its vertices in ascending order."""
         while len(cells) < n:
-            color = [0] * n
-            for ci, cell in enumerate(cells):
-                for v in cell:
-                    color[v] = ci
-            esig = [(len(e), tuple(sorted([color[w] for w in e]))) for e in edges]
+            color = [0] * n  # the start position of the vertex's cell
+            start = single = 0  # single: the vertices of singleton cells
+            for cell in cells:
+                if len(cell) == 1:
+                    color[cell[0]] = start
+                    single |= 1 << cell[0]
+                    start += 1
+                else:
+                    for v in cell:
+                        color[v] = start
+                    start += len(cell)
+            get = color.__getitem__
+            esig = [  # only the edges at a vertex of a non-singleton cell
+                (len(e), tuple(sorted(map(get, e)))) if m & ~single else None
+                for m, e in zip(masks, edges)
+            ]
+            sig_of = esig.__getitem__
             out, changed = [], False
             for cell in cells:
                 if len(cell) == 1:
@@ -420,14 +455,13 @@ def _canonical_index(key: tuple, budget: int):
                     continue
                 groups: dict[tuple, list[int]] = {}
                 for v in cell:
-                    sig = tuple(sorted([esig[ei] for ei in inc[v]]))
+                    sig = tuple(sorted(map(sig_of, inc[v])))
                     groups.setdefault(sig, []).append(v)
                 if len(groups) == 1:
                     out.append(cell)
                 else:
                     changed = True
-                    for sig in sorted(groups):
-                        out.append(sorted(groups[sig]))
+                    out += [groups[sig] for sig in sorted(groups)]
             cells = out
             if not changed:
                 break
@@ -435,6 +469,11 @@ def _canonical_index(key: tuple, budget: int):
 
     best = first = None  # (certificate, labelling, path) of those leaves
     gens: list[list[int]] = []
+    for v, t in enumerate(kind):
+        if t != v:
+            g = list(range(n))
+            g[v], g[t] = t, v
+            gens.append(g)
     nodes = 0
 
     def descend(cells, fixed):
@@ -450,11 +489,13 @@ def _canonical_index(key: tuple, budget: int):
                 f"isomorphism search exceeded {budget} refinement nodes"
             )
         cells = refine(cells)
-        split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if split_at is None:
+        wide = [c for c in cells if len(c) > 1]
+        if not wide or twins and all(len({kind[v] for v in c}) == 1 for c in wide):
+            # cells hold their vertices in ascending order, so this leaf is
+            # the first the full tree reaches below the node
             lab = [0] * n
-            for pos, cell in enumerate(cells):
-                lab[cell[0]] = pos
+            for pos, v in enumerate(itertools.chain.from_iterable(cells)):
+                lab[v] = pos
             cert = tuple(sorted([tuple(sorted([lab[v] for v in e])) for e in edges]))
             if first is None:
                 best = first = (cert, lab, fixed)
@@ -476,7 +517,8 @@ def _canonical_index(key: tuple, budget: int):
                         depth += 1
                     return depth
             return None
-        cell = cells[split_at]
+        cell = wide[0]
+        split_at = cells.index(cell)
         orbit = None  # union-find over the orbits of the prefix stabiliser
         used = 0  # generators looked at so far
         explored: list[int] = []
@@ -487,9 +529,10 @@ def _canonical_index(key: tuple, budget: int):
                         if orbit is None:
                             orbit = list(range(n))
                         for a, b in enumerate(g):
-                            ra, rb = _find(orbit, a), _find(orbit, b)
-                            if ra != rb:
-                                orbit[max(ra, rb)] = min(ra, rb)
+                            if a != b:
+                                ra, rb = _find(orbit, a), _find(orbit, b)
+                                if ra != rb:
+                                    orbit[max(ra, rb)] = min(ra, rb)
                 used = len(gens)
                 if orbit is not None:
                     root = _find(orbit, v)
@@ -506,7 +549,12 @@ def _canonical_index(key: tuple, budget: int):
                 return back
         return None
 
-    descend([list(range(n))], [])
+    # the root's first refinement pass colours every vertex alike, so it
+    # splits by the sorted sizes of each vertex's edges: take that split here
+    profiles: dict[tuple, list[int]] = {}
+    for v, at in enumerate(sizes):
+        profiles.setdefault(tuple(sorted(at)), []).append(v)
+    descend([profiles[p] for p in sorted(profiles)], [])
     result = ((n, best[0]), tuple(best[1]), tuple(tuple(g) for g in gens))
     if len(_cert_cache) < _CERT_CACHE_MAX:
         _cert_cache[key] = result

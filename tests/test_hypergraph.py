@@ -21,7 +21,7 @@ from hgdilute.hypergraph import (
     isomorphic,
     primal_graph,
 )
-from hgdilute.dilution import reduce_hypergraph
+from hgdilute.dilution import _index_steps, reduce_hypergraph
 from hgdilute.generators import grid, jigsaw, mesh
 
 from conftest import sample_hypergraph
@@ -51,6 +51,22 @@ def tiny_hypergraphs(draw):
     verts = sorted(draw(st.sets(st.sampled_from("abcdefg"))))
     edge = st.sets(st.sampled_from(verts)) if verts else st.just(set())
     return Hypergraph.make(draw(st.lists(edge, max_size=7)), verts)
+
+
+@st.composite
+def cloned_hypergraphs(draw):
+    """``tiny_hypergraphs`` whose vertices gain copies, at most 7 vertices
+    in all: each copy joins every edge of its original, so the copies share
+    its type, the way the vertices of an unreduced search state do."""
+    h = draw(tiny_hypergraphs())
+    verts = sorted(h.vertices)
+    if not verts:
+        return h
+    originals = draw(st.lists(st.sampled_from(verts), max_size=6))
+    copies = {f"{v}{k}": v for k, v in enumerate(originals[: 7 - len(verts)])}
+    edges = [set(e) | {c for c, v in copies.items() if v in e} for e in h.edges]
+    g = Hypergraph.make(edges, set(verts) | set(copies))
+    return relabel(g, draw(st.permutations(range(len(g.vertices)))), "k")
 
 
 def relabel(h, order, prefix):
@@ -113,6 +129,26 @@ def unpruned_canonical(h):
         return (0, tuple(sorted(tuple(sorted(e)) for e in edges))), {}
     descend([list(range(n))])
     return (n, best[0]), {verts[v]: pos for v, pos in best[1].items()}
+
+
+def brute_force_automorphisms(h):
+    """Every automorphism of h, as a vertex-to-vertex dict."""
+    verts = sorted(h.vertices)
+    maps = (dict(zip(verts, p)) for p in itertools.permutations(verts))
+    return [g for g in maps if is_automorphism(g, h)]
+
+
+def orbits(h, perms):
+    """The vertex orbits of the group the vertex-to-vertex dicts ``perms``
+    generate, as a set of frozensets."""
+    orbit = {v: frozenset([v]) for v in h.vertices}
+    for g in perms:
+        for a, b in g.items():
+            if orbit[a] is not orbit[b]:
+                joined = orbit[a] | orbit[b]
+                for v in joined:
+                    orbit[v] = joined
+    return set(orbit.values())
 
 
 def is_automorphism(g, h):
@@ -468,6 +504,64 @@ class TestCanonicalLabelling:
             ("a6", 9), ("a7", 12), ("b0", 13), ("b1", 3), ("b2", 5), ("b3", 4),
             ("b4", 11), ("b5", 6), ("b6", 10),
         ]
+
+    @given(cloned_hypergraphs())
+    def test_cloned_vertices_match_unpruned_search(self, h):
+        # a node whose non-singleton cells each hold one type is a leaf
+        cert, lab, gens = _canonical(h, 10**6)
+        assert (cert, lab) == unpruned_canonical(h)
+        assert all(is_automorphism(gen, h) for gen in gens)
+
+    def test_a_one_type_cell_before_a_mixed_one_is_no_leaf(self):
+        # refinement puts a cell of one type (the isolated d and e; the
+        # copies c and d) before a cell that mixes types, so the node must
+        # still branch
+        rnd = random.Random(18)
+        for base in (H("ac", "bf", extra="de"), H("cd", "abf", "aeg", "bcdefg")):
+            for _ in range(5):
+                order = list(range(len(base.vertices)))
+                rnd.shuffle(order)
+                h = relabel(base, order, "t")
+                cert, lab, _ = _canonical(h, 10**6)
+                assert (cert, lab) == unpruned_canonical(h)
+
+    @given(cloned_hypergraphs())
+    def test_generators_span_every_automorphism_orbit(self, h):
+        # the seeded transpositions stand in for the ties of the cut
+        # subtrees, so the dilution search prunes its steps as before
+        _, _, gens = _canonical(h, 10**6)
+        auts = brute_force_automorphisms(h)
+        assert orbits(h, gens) == orbits(h, auts)
+        names, (n, masks) = h._index_form
+        index = {v: i for i, v in enumerate(names)}
+
+        def steps(perms):
+            return _index_steps(
+                n, frozenset(masks), [[index[g[v]] for v in names] for g in perms]
+            )
+
+        assert steps(gens) == steps(auts)
+
+    @pytest.mark.usefixtures("empty_cert_cache")
+    def test_one_type_labels_at_the_root(self):
+        # a 12-vertex edge and 10 isolated vertices refine to one cell of a
+        # single type: one refinement node, where the tree without the type
+        # cut needs 78 and 55 nodes to find its vertices interchangeable
+        edge = H([f"e{i:02d}" for i in range(12)])
+        isolated = H(extra=[f"i{i}" for i in range(10)])
+        for h, n_edges in ((edge, 1), (isolated, 0)):
+            cert, lab, gens = _canonical(h, 1)
+            assert cert == (len(h.vertices), (tuple(range(12)),) * n_edges)
+            assert lab == {v: pos for pos, v in enumerate(sorted(h.vertices))}
+            assert orbits(h, gens) == {h.vertices}
+
+    @pytest.mark.usefixtures("empty_cert_cache")
+    def test_pinned_mesh_budget(self):
+        # the README's figure: mesh(6,6) needs exactly 63 refinement nodes
+        h = mesh(6, 6)
+        with pytest.raises(BudgetExceededError):
+            canonical_form(h, budget=62)
+        assert canonical_form(h, budget=63) == canonical_form(h)
 
     @given(tiny_hypergraphs(), st.data())
     def test_order_isomorphic_relabellings_share_an_entry(self, h, data):
