@@ -5,21 +5,26 @@ disjoint branch set of the host, with host edges witnessing pattern adjacency.
 ``find_minor`` is an exhaustive model search (complete; budget-guarded) over
 the host's connected vertex subsets held as int masks, which come, like
 the masks the minor-map checks run on, from ``hypergraph``'s vertex-set
-kernel.  Before the search it tries minor-monotone certificates of absence:
-a pattern with more primal edges, a larger circuit rank or a larger
-treewidth than the host is no minor (the pattern's treewidth, by
-``decomposition``'s DP, is compared with a min-degree bound of the host).
-During the search it drops every partial placement that leaves some
-connected piece of the unplaced pattern no connected region of the unused
-host to go to.  Neither cut removes a branch that holds a model, so the
-first model found is the one the plain search finds.  On 12-16-vertex hosts
+kernel.  Before the search it tries certificates of absence: a pattern
+with more primal edges, a larger circuit rank or a larger treewidth than
+the host is no minor, as none of these grows under deletion or contraction
+(the pattern's treewidth, by ``decomposition``'s DP, is compared with a
+min-degree bound of the host); and a pattern with as many vertices as the
+host, whose branch sets are then single vertices, is none when the host's
+sorted degrees do not dominate its own entry by entry.  During the search
+it drops every partial placement that leaves some connected piece of the
+unplaced pattern no connected region of the unused host to go to, and it
+places a vertex only on a subset with an unused host neighbour for each of
+its pattern neighbours still to come (the free-neighbour cut).  No cut
+removes a branch that holds a model, so the first model found is the one
+the plain search finds.  On 12-16-vertex hosts
 (relabelled grids, duals of meshes and jigsaws) it finds a 2x2, 3x3 or 4x4
-grid in at most 0.35 s, and the treewidth certificate proves that no 3x3 or
+grid in at most 0.07 s, and the treewidth certificate proves that no 3x3 or
 4x4 grid lies in a 2 x k grid (``grid(2, 7)`` took 2.47e6 attempts before)
-in 2 ms.  Absences that no certificate settles are proved by the search on
-random 12-vertex hosts in at most 0.23 s; on 14 and 16 vertices some still
-outgrow the default 1e6 attempts, which run out after at most 3.1 s (timed
-on a 2-core x86 machine).
+in under 1 ms.  Absences that no certificate settles are proved by the
+search on random 12- and 14-vertex hosts in at most 0.69 s; on 16 vertices
+some still outgrow the default 1e6 attempts, which run out after at most
+2.0 s (timed on a 2-core x86 machine).
 
 Each plan of the search is built once and kept in a small cache keyed on
 the hypergraph: a pattern's placement order, position adjacency, certificate
@@ -187,15 +192,22 @@ def _connected_subsets(nbr: list[int]) -> list[tuple[int, int, int]]:
     return [(mask, around, size) for size, _, mask, around in keyed]
 
 
+def _degrees(adj: list[int]) -> list[int]:
+    """The vertex degrees of neighbour masks ``adj``, largest first."""
+    return sorted((m.bit_count() for m in adj), reverse=True)
+
+
 class _Pattern:
     """Search set-up of a connected pattern graph, built once per pattern.
 
     ``names`` holds the vertices in placement order: breadth-first from the
     least name, neighbours in name order.  ``adj`` is the adjacency by
-    position in that order, ``earlier[i]`` the placed neighbours of
-    position i, and ``fits[i]`` the (size, placed neighbours) of each piece
-    of the pattern left unplaced at depth i, the piece holding position i
-    first.  The treewidth is computed only when a certificate asks for it.
+    position in that order, ``degrees`` the sorted degrees, ``earlier[i]``
+    the placed neighbours of position i, ``later[i]`` the number of its
+    neighbours placed after it, and ``fits[i]`` the (size, placed
+    neighbours) of each piece of the pattern left unplaced at depth i, the
+    piece holding position i first.  The treewidth is computed only when a
+    certificate asks for it.
     """
 
     def __init__(self, g: Hypergraph):
@@ -216,7 +228,9 @@ class _Pattern:
         index = {v: i for i, v in enumerate(self.names)}
         self.adj = adj = _adjacency(n, [_mask(index, e) for e in g.edges])
         self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
+        self.degrees = _degrees(adj)
         self.earlier = [[j for j in range(i) if adj[i] >> j & 1] for i in range(n)]
+        self.later = [(adj[i] >> i + 1).bit_count() for i in range(n)]
         self.fits = [
             [
                 (piece.bit_count(), [j for j in range(i) if adj[j] & piece])
@@ -236,14 +250,15 @@ class _Pattern:
 
 class _Host:
     """Search set-up of a host, shared by every pattern asked of it: sorted
-    names, neighbour masks (vertex i of ``names`` is bit i), edge count and
-    circuit rank; the min-degree elimination bound and the connected
-    subsets are built when a search first needs them."""
+    names, neighbour masks (vertex i of ``names`` is bit i), edge count,
+    circuit rank and sorted degrees; the min-degree elimination bound and
+    the connected subsets are built when a search first needs them."""
 
     def __init__(self, host: Hypergraph):
         self.names, (n, masks) = host._index_form
         self.adj = adj = _adjacency(n, masks)
         self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
+        self.degrees = _degrees(adj)
 
     @cached_property
     def bound(self) -> int:
@@ -281,15 +296,18 @@ def find_minor(
 
     None means proven absence; exceeding the budget raises.  Absence is
     first tried by certificates: more pattern vertices, primal edges or
-    circuit rank than the host, or a pattern treewidth above the host's
-    min-degree elimination bound.  The search then places the pattern
-    vertices in breadth-first order, each on a connected host subset by
-    size, and drops a partial placement as soon as some connected piece of
-    the unplaced pattern fits no connected piece of the unused host
-    vertices: one with at least as many vertices that touches the image of
-    every placed neighbour of the piece.  The next vertex is tried only
-    inside a region that fits its own piece.  These only cut branches
-    without a completion, so the first model found is the unpruned search's.
+    circuit rank than the host, sorted degrees that the host's do not
+    dominate entry by entry when the vertex counts are equal, or a pattern
+    treewidth above the host's min-degree elimination bound.  The search
+    then places the pattern vertices in breadth-first order, each on a
+    connected host subset by size, and drops a partial placement as soon as
+    some connected piece of the unplaced pattern fits no connected piece of
+    the unused host vertices: one with at least as many vertices that
+    touches the image of every placed neighbour of the piece.  The next
+    vertex is tried only inside a region that fits its own piece, and only
+    on a subset with at least one unused host neighbour for each of its
+    pattern neighbours still to be placed.  These only cut branches without
+    a completion, so the first model found is the unpruned search's.
     """
     pattern = _pattern(g)
     if len(pattern.names) > len(host.vertices):
@@ -297,16 +315,24 @@ def find_minor(
     plan = _host(host)
     # edge count, circuit rank and treewidth never grow under deletion or
     # contraction (Robertson & Seymour, Graph Minors): a pattern above the
-    # host in any of them has no model; the cheapest come first
+    # host in any of them has no model.  With as many vertices as the host,
+    # every branch set is one vertex, so a model is a spanning subgraph and
+    # each pattern degree needs its own host vertex of at least that degree.
+    # The cheapest come first
     if (
         pattern.edges > plan.edges
         or pattern.rank > plan.rank
+        or (
+            len(pattern.names) == len(plan.names)
+            and any(p > h for p, h in zip(pattern.degrees, plan.degrees))
+        )
         or _wider(pattern, plan)
     ):
         return None
 
     n, names, nbr = len(pattern.names), plan.names, plan.adj
-    earlier, fits, subsets = pattern.earlier, pattern.fits, plan.subsets
+    earlier, later, fits = pattern.earlier, pattern.later, pattern.fits
+    subsets = plan.subsets
     everything = (1 << len(names)) - 1
     attempts = 0
 
@@ -347,6 +373,10 @@ def find_minor(
                 raise BudgetExceededError(
                     f"minor search exceeded {budget} placement attempts"
                 )
+            # each pattern neighbour still to come needs its own branch set,
+            # disjoint from the rest and touching s: an unused host neighbour
+            if (around & ~used).bit_count() < later[i]:
+                continue
             # s misses every placed image: an edge joins the two iff a neighbour does
             for image in linked:
                 if not around & image:
@@ -404,7 +434,7 @@ def find_grid_minor(
 ) -> MinorMap | None:
     """Onto minor map of the n x n grid into host, or proven absence.
 
-    Complete in practice for hosts of about 12 vertices, and of about 16
+    Complete in practice for hosts of about 14 vertices, and of about 16
     when the grid is present or a certificate rules it out (for instance a
     host whose min-degree elimination bound is below n); beyond that the
     budget decides.  The host must be connected for the returned map to be

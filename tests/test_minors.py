@@ -25,6 +25,7 @@ from hgdilute.hypergraph import (
     _adjacency,
     _circuit_rank,
     _edge_count,
+    _mask_components,
     canonical_form,
     dual,
     dual_with_map,
@@ -217,10 +218,10 @@ class TestFindMinorOracle:
 
 
 @st.composite
-def hosts_upto7(draw):
-    """Up to 7 vertices with hyperedges, singleton and empty edges and
-    isolated vertices, often sparse."""
-    n = 7 - draw(st.integers(min_value=0, max_value=7))  # mostly large
+def hosts_upto7(draw, size=None):
+    """Up to 7 vertices (or exactly ``size``) with hyperedges, singleton and
+    empty edges and isolated vertices, often sparse."""
+    n = 7 - draw(st.integers(min_value=0, max_value=7)) if size is None else size
     names = draw(st.permutations("pkcwfaz"))[:n]
     edge = st.sets(st.sampled_from(names), max_size=3) if names else st.just(set())
     edges = draw(st.lists(edge, max_size=draw(st.integers(0, 9))))
@@ -283,6 +284,10 @@ def masks(h):
     return _adjacency(*h._index_form[1])
 
 
+def degrees(h):
+    return sorted((m.bit_count() for m in masks(h)), reverse=True)
+
+
 class TestAbsenceCertificates:
     """Each certificate on its own proves absence whenever it fires."""
 
@@ -322,6 +327,23 @@ class TestAbsenceCertificates:
         # a hyperedge is a clique of the primal graph: 6 - 4 + 1
         assert _circuit_rank(masks(H("abcd"))) == 3
 
+    @given(patterns_upto5(), st.data())
+    @settings(max_examples=100)
+    def test_degrees_not_dominated(self, g, data):
+        host = data.draw(hosts_upto7(size=len(g.vertices)))
+        assume(any(p > h for p, h in zip(degrees(g), degrees(host))))
+        assert not has_minor_by_branch_sets(g, host)
+
+    def test_net_not_in_hexagon(self):
+        # a triangle with a pendant at each corner against a 6-cycle: equal
+        # edge count, circuit rank and treewidth, but degrees 3 against 2
+        net = H("ab", "bc", "ca", "ax", "by", "cz")
+        hexagon = H("pq", "qr", "rs", "st", "tu", "up")
+        assert (_edge_count(masks(net)), _circuit_rank(masks(net))) == (6, 1)
+        assert (_edge_count(masks(hexagon)), _circuit_rank(masks(hexagon))) == (6, 1)
+        assert not _wider(_pattern(net), _host(hexagon))
+        assert find_minor(net, hexagon, budget=0) is None
+
     @pytest.mark.parametrize(
         "host", [grid(2, 7), graph_dual(jigsaw(2, 7))], ids=["grid27", "jigsaw27-dual"]
     )
@@ -329,6 +351,88 @@ class TestAbsenceCertificates:
         # treewidth 3 against 2: proved before any placement attempt
         assert find_minor(grid(3, 3), host) is None
         assert find_minor(grid(3, 3), host, budget=0) is None
+
+
+def reference_find_minor(g, host):
+    """The search without the degree certificate and the free-neighbour cut,
+    kept as the reference: (model or None, placement attempts made)."""
+    pattern, plan = _pattern(g), _host(host)
+    if len(pattern.names) > len(plan.names) or (
+        pattern.edges > plan.edges or pattern.rank > plan.rank or _wider(pattern, plan)
+    ):
+        return None, 0
+    n, nbr, subsets = len(pattern.names), plan.adj, plan.subsets
+    everything = (1 << len(plan.names)) - 1
+    attempts = 0
+
+    def place(i, used, images, rims):
+        nonlocal attempts
+        if i == n:
+            return list(images)
+        free = everything & ~used
+        limit = free.bit_count() - (n - i - 1)
+        regions = _mask_components(nbr, free)
+        for k, (size, touch) in enumerate(pattern.fits[i]):
+            spot = room = 0
+            for r in regions:
+                if r.bit_count() >= size and all(r & rims[j] for j in touch):
+                    spot |= r
+                    room = max(room, r.bit_count() - size + 1)
+                    if k:
+                        break
+            if not spot:
+                return None
+            if not k:
+                home, limit = spot, min(limit, room)
+        for s, around, size in subsets:
+            if size > limit:
+                break
+            if s & ~home:
+                continue
+            attempts += 1
+            if all(around & images[j] for j in pattern.earlier[i]):
+                res = place(i + 1, used | s, images + [s], rims + [around])
+                if res is not None:
+                    return res
+        return None
+
+    model = place(0, 0, [], [])
+    if model is None:
+        return None, attempts
+    sets = [{v for k, v in enumerate(plan.names) if m >> k & 1} for m in model]
+    return MinorMap.of(dict(zip(pattern.names, sets))), attempts
+
+
+def random_connected_graph(rng, n, extra):
+    """A random tree on n shuffled names plus up to ``extra`` more edges."""
+    names = [f"v{k}" for k in range(n)]
+    rng.shuffle(names)
+    edges = {frozenset({names[i], names[rng.randrange(i)]}) for i in range(1, n)}
+    for _ in range(extra):
+        edges.add(frozenset(rng.sample(names, 2)))
+    return Hypergraph(frozenset(names), frozenset(edges))
+
+
+class TestMatchesReferenceSearch:
+    """The cuts drop only branches without a model: the same model or None
+    as the reference search, within the reference's attempt count."""
+
+    def assert_matches(self, g, host):
+        model, attempts = reference_find_minor(g, host)
+        assert find_minor(g, host, budget=attempts) == model
+
+    @given(hosts_upto7(), patterns_upto5())
+    @settings(max_examples=150)
+    def test_small_hosts(self, host, g):
+        self.assert_matches(g, host)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_connected_graphs_8_to_11_vertices(self, seed):
+        rng = random.Random(seed)
+        host = random_connected_graph(rng, 8 + seed % 4, rng.randint(3, 9))
+        star, k4 = H("ab", "ac", "ad", "ae"), H("ab", "ac", "ad", "bc", "bd", "cd")
+        for g in (grid(2, 2), grid(2, 3), grid(3, 3), star, k4):
+            self.assert_matches(g, host)
 
 
 def reference_neighbors(host):
@@ -461,7 +565,7 @@ class TestMinorMapsMatchReferences:
 
 class TestPinnedSearch:
     """Witnesses copied from the frozenset search; attempt counts from the
-    search with free-region pruning."""
+    search with free-region pruning and the free-neighbour cut."""
 
     # a relabelled grid(3,4): sorted grid vertex i becomes RELABEL[i]
     RELABEL = ["q10", "q6", "q2", "q1", "q4", "q11", "q0", "q7", "q5", "q8", "q3", "q9"]
@@ -489,19 +593,21 @@ class TestPinnedSearch:
         ]
 
     def test_exact_attempt_budget(self):
-        # free-region pruning: 36120 attempts before it
-        assert find_minor(grid(3, 3), self.host(), budget=5967) is not None
-        with pytest.raises(BudgetExceededError, match="5966 placement attempts"):
-            find_minor(grid(3, 3), self.host(), budget=5966)
+        # 36120 attempts before free-region pruning, 5967 before the
+        # free-neighbour cut
+        assert find_minor(grid(3, 3), self.host(), budget=4297) is not None
+        with pytest.raises(BudgetExceededError, match="4296 placement attempts"):
+            find_minor(grid(3, 3), self.host(), budget=4296)
 
     def test_exact_absence_budget(self):
         # no certificate fires on grid(3,4) less a middle edge; the pruned
-        # search proves absence in 53772 attempts (205616 unpruned)
+        # search proves absence in 28724 attempts (53772 without the
+        # free-neighbour cut, 205616 unpruned)
         g = grid(3, 4)
         host = Hypergraph(g.vertices, g.edges - {frozenset({"x2_2", "x2_3"})})
-        assert find_minor(grid(3, 3), host, budget=53772) is None
-        with pytest.raises(BudgetExceededError, match="53771 placement attempts"):
-            find_minor(grid(3, 3), host, budget=53771)
+        assert find_minor(grid(3, 3), host, budget=28724) is None
+        with pytest.raises(BudgetExceededError, match="28723 placement attempts"):
+            find_minor(grid(3, 3), host, budget=28723)
 
 
 class TestPreparedSearch:
