@@ -39,12 +39,17 @@ labels here, the CQ reduction and the merge transform read its images.  The
 mask steps of the search are tested against it.
 
 What is reachable depends only on the isomorphism class, so
-``reachable_dilutions`` sweeps certificates and keeps a process-wide memo,
-``_reach_memo``, from a certificate to the certificates of its children,
-capped like the certificate cache at ``_CERT_CACHE_MAX`` entries.  A sweep
-that meets a certificate another sweep expanded reads its children there.
-The budget still counts the states the sweep takes from its queue, so
-answers and least budgets do not depend on what the memo holds.
+``reachable_dilutions`` sweeps classes and keeps a process-wide memo,
+``_reach_memo``, from a certificate to the class's node (``_ClassNode``),
+capped like the certificate cache at ``_CERT_CACHE_MAX`` entries.  Once a
+class has been expanded its node holds the nodes of its children, so a
+sweep that meets a class another sweep expanded walks node to node and
+hashes no certificate on the way (hash-consing: Filliatre and Conchon,
+*Type-Safe Modular Hash-Consing*, ML Workshop 2006).  A node in the memo
+keeps children only when each of them is in the memo too; a class met
+while the memo is full gets a node for that sweep only.  The budget still
+counts the states the sweep takes from its queue, so answers and least
+budgets do not depend on what the memo holds.
 """
 
 from __future__ import annotations
@@ -71,9 +76,22 @@ from .hypergraph import (
 
 DEFAULT_SEARCH_BUDGET = 10**5
 
-#: child certificates of each state ``reachable_dilutions`` has expanded:
-#: certificate -> certificates of all its children
-_reach_memo: dict[tuple, tuple] = {}
+
+class _ClassNode:
+    """An isomorphism class that ``reachable_dilutions`` has met: its
+    certificate, and the nodes of all its children once it has been
+    expanded, None before."""
+
+    __slots__ = ("cert", "children")
+
+    def __init__(self, cert: tuple):
+        self.cert = cert
+        self.children: tuple[_ClassNode, ...] | None = None
+
+
+#: the node of each class ``reachable_dilutions`` has met, while there is
+#: room: certificate -> node.  Children of a node here are all here too.
+_reach_memo: dict[tuple, _ClassNode] = {}
 
 
 @dataclass(frozen=True)
@@ -522,57 +540,84 @@ def search_dilution(
             return None
 
 
+def _class_node(cert: tuple, local: dict) -> _ClassNode:
+    """The node of ``cert``: the memo's, else the sweep's own in ``local``,
+    else a new one, entered in the memo while it has room and in ``local``
+    otherwise."""
+    node = _reach_memo.get(cert)
+    if node is None:
+        node = local.get(cert)
+        if node is None:
+            node = _ClassNode(cert)
+            if len(_reach_memo) < _CERT_CACHE_MAX:
+                _reach_memo[cert] = node
+            else:
+                local[cert] = node
+    return node
+
+
 def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) -> set:
     """Canonical forms of every hypergraph reachable by dilution from h_src.
 
     Exhaustive; used to answer many containment queries against one source in
-    a single sweep.  The sweep is breadth-first over certificates.  A state is
-    expanded by ``_children`` as in ``search_dilution``, with no target and
-    so no cut, from the index form and generators it was labelled with.
-    Once its expansion has finished, the certificates of all its children go
-    into the process-wide, capped ``_reach_memo`` under its certificate; a
-    later sweep from any source that meets the certificate reads them there
-    instead.  A
-    certificate met only in a memo entry and without an entry of its own is
-    expanded from its own index form.  The budget still counts states, one
-    per certificate taken from the queue, so the result and the least budget
+    a single sweep.  The sweep is breadth-first over class nodes
+    (``_ClassNode``, one per certificate): a certificate is looked up only
+    for the source and for the children of a state being labelled, and
+    ``seen`` and the queue hold nodes, so a node that has its children is
+    walked without hashing a certificate.  A state without them is expanded
+    by ``_children`` as in ``search_dilution``, with no target and so no
+    cut, from an index form and generators it was labelled with in this
+    sweep, or else from its certificate's own index form.  Once its
+    expansion has finished, the nodes of all its children are written to its
+    node, and a later sweep from any source that meets the node reads them
+    there.  A node in the process-wide, capped ``_reach_memo`` keeps them
+    only when each child is in the memo too: a class met while the memo is
+    full gets a node that lives for this sweep only, and a later sweep must
+    not meet that class under two nodes.  The budget still counts states,
+    one per node taken from the queue, so the result and the least budget
     that succeeds (the size of the result) are the same whether the memo is
     warm or cold.
     """
     n, masks = h_src._index_form[1]
     start, _, gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
-    seen = {start}
     labelled = {(n, frozenset(masks)): (start, gens)}  # index form -> labelling
-    # a state carries the index form and generators it was labelled with,
-    # or None when it was met only in a memo entry
-    queue: deque[tuple] = deque([(start, (n, frozenset(masks), gens))])
+    local: dict[tuple, _ClassNode] = {}  # classes met while the memo was full
+    source = _class_node(start, local)
+    # node -> the index form and generators it was first labelled with in
+    # this sweep
+    forms = {source: (n, frozenset(masks), gens)}
+    seen = {source}
+    queue = deque([source])
     expanded = 0
     while queue:
-        cert, form = queue.popleft()
+        node = queue.popleft()
         expanded += 1
         if expanded > budget:
             raise BudgetExceededError(
                 f"dilution reachability exceeded {budget} expanded states"
             )
-        children = _reach_memo.get(cert)
-        forms: dict[tuple, tuple] = {}  # child certificate -> its first form
+        children = node.children
         if children is None:
-            if form is None:  # expand the certificate's own index form
+            form = forms.get(node)
+            if form is None:  # expand the class's own index form
+                cert = node.cert
                 n, masks = cert[0], sorted([sum([1 << i for i in e]) for e in cert[1]])
                 gens = _canonical_index((n, tuple(masks)), DEFAULT_ISO_BUDGET)[2]
                 form = (n, frozenset(masks), gens)
-            certs = []
+            found = []
             for _, _, c, child_form in _children(form, labelled):
-                forms.setdefault(c, child_form)
-                certs.append(c)
-            children = tuple(dict.fromkeys(certs))
-            if len(_reach_memo) < _CERT_CACHE_MAX:
-                _reach_memo[cert] = children
-        for c in children:
-            if c not in seen:
-                seen.add(c)
-                queue.append((c, forms.get(c)))
-    return seen
+                child = _class_node(c, local)
+                forms.setdefault(child, child_form)
+                found.append(child)
+            children = tuple(dict.fromkeys(found))
+            # the memo's nodes hold only nodes of the memo
+            if not local or all([c.cert not in local for c in children]):
+                node.children = children
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return {node.cert for node in seen}
 
 
 # -- label tracking ----------------------------------------------------------

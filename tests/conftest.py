@@ -26,6 +26,8 @@ def empty_cert_cache(monkeypatch):
     """An empty certificate cache and reachability memo for the test, so that
     a refinement budget it pins is charged in full (a cache hit never charges
     the budget) and a reachability sweep labels every state it meets instead
-    of reading its children from an earlier sweep."""
+    of reading its children from the class nodes of an earlier sweep.  A
+    sweep keeps no other state between calls: nodes of classes met while the
+    memo is full live for one sweep only."""
     monkeypatch.setattr(hypergraph, "_cert_cache", {})
     monkeypatch.setattr(dilution, "_reach_memo", {})

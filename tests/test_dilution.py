@@ -616,6 +616,16 @@ def assert_reach(h, reach):
         reachable_dilutions(h, len(reach) - 1)
 
 
+def assert_memo_closed():
+    """Each node in the memo is filed under its own certificate, and a node
+    that holds children holds only nodes of the memo."""
+    memo = dilution._reach_memo
+    for cert, node in memo.items():
+        assert node.cert == cert
+        for child in node.children or ():
+            assert memo.get(child.cert) is child
+
+
 class TestReachMemo:
     """Sweeps that share the certificate-keyed memo, in every order that lets
     one read entries another wrote, against the unpruned sweep."""
@@ -658,6 +668,44 @@ class TestReachMemo:
                 pass
             mp.setattr(dilution, "_canonical_index", core)
             assert_reach(h, reach)
+
+    @given(search_sources(), seeds)
+    def test_warm_sweep_labels_only_its_source(self, h, seed):
+        names = [f"r{i}" for i in range(len(h.vertices))]
+        random.Random(seed).shuffle(names)
+        rename = dict(zip(sorted(h.vertices), names))
+        copy = Hypergraph(
+            frozenset(names), frozenset(frozenset(rename[v] for v in e) for e in h.edges)
+        )
+        core, calls = dilution._canonical_index, []
+
+        def counting_core(key, budget):
+            calls.append(key)
+            return core(key, budget)
+
+        with fresh_memo() as mp:
+            reach = reachable_dilutions(h)
+            mp.setattr(dilution, "_canonical_index", counting_core)
+            assert reachable_dilutions(copy) == reach
+        assert calls == [copy._index_form[1]]
+
+    @given(search_sources(), seeds, seeds)
+    @example(mesh(2, 3), 1, 2)
+    @settings(max_examples=30)
+    def test_hosts_sharing_sub_states_under_every_cap(self, h, seed_a, seed_b):
+        hosts = [h]
+        for seed in (seed_a, seed_b):
+            hosts.append(random_valid_sequence(h, random.Random(seed), max_steps=3)[1])
+        reach = [unpruned_reachable(x) for x in hosts]
+        # the last cap is half the first host's classes, so it fills while
+        # the first sweep runs
+        for cap in (None, 0, 2, max(1, len(reach[0]) // 2)):
+            with fresh_memo(cap):
+                for x, r in zip(hosts, reach):
+                    assert_reach(x, r)
+                    assert_memo_closed()
+                    if cap is not None and x is h:
+                        assert len(dilution._reach_memo) == min(cap, len(r))
 
 
 class TestLabels:
