@@ -13,9 +13,14 @@ of the dual 2-section (``_invariants``), so ``search_dilution`` also drops
 every child that falls short of the target in one of them.  A step removes
 at most one vertex, so the search runs in vertex-count contours, the bound
 of iterative-deepening A*, and labels only children that can still lie on a
-shortest path to the target.  Search states are deduplicated by canonical
-form, so a ``None`` result means proven absence, while running out of
-budget raises.  Of the steps that a state's automorphisms (found by the
+shortest path to the target.  In the first contour every step removes a
+vertex, so each class lies at one depth there, and a depth-first pass
+meets each class from the same parent as a breadth-first one.  That
+contour runs depth-first: it reaches the target's level without first
+exhausting every level above it and returns the same sequence, so least
+budgets can only fall.  Search states are deduplicated by canonical form,
+so a ``None`` result means proven absence, while running out of budget
+raises.  Of the steps that a state's automorphisms (found by the
 canonical labelling) map onto one another, only the first is expanded: the
 others lead to isomorphic children, which the unpruned search would have
 found already seen, so the visited states, the budget used and the
@@ -469,20 +474,32 @@ def search_dilution(
     *Depth-first iterative-deepening*, AI 1985).  A state at depth d with n
     vertices has f = d + n - (target vertices); contour F admits only
     states with f <= F, starting at F = f(source) and rising by one.  Each
-    contour is a fresh breadth-first pass in the same step order; a child
-    beyond the contour is not labelled, and a child on its last level, at
-    depth F, is tested against the target but not expanded.  All contours
-    share one table of labelled index forms.  A step removes at most one
-    vertex, so f never falls along a path: every state on a shortest path
-    to a state of the contour lies in it, and a contour replays the plain
-    breadth-first search restricted to its own states, in the same order
-    and with the same discovery parents.  The first contour that meets the
-    target thus returns the plain search's sequence.  When a contour cuts
-    nothing it was the whole pruned search, and None is proven.
+    contour is a fresh pass in the same step order; a child beyond the
+    contour is not labelled, and a child on its last level, at depth F, is
+    tested against the target but not expanded.  All contours share one
+    table of labelled index forms.  A step removes at most one vertex, so
+    f never falls along a path: every state on a shortest path to a state
+    of the contour lies in it, and a breadth-first contour replays the
+    plain breadth-first search restricted to its own states, in the same
+    order and with the same discovery parents.
+
+    The first contour alone runs depth-first: it takes the state queued
+    last and queues a state's new children in reverse step order.  Each
+    step it admits removes one vertex, so each class in it lies at exactly
+    one depth, the source's vertices minus its own, and is met only from
+    the level above.  Pre-order then meets each level in breadth-first
+    order, the lexicographic order of discovery paths, so every class is
+    first met from the same parent by the same step as breadth-first, and
+    so is the target.  The first contour that meets the target thus
+    returns the plain search's sequence.  When a contour cuts nothing it
+    was the whole pruned search, and None is proven.
 
     The budget counts distinct states expanded, summed over all contours;
-    hitting it raises.  Deciding this question is NP-hard in general, so
-    the budget is the contract.
+    hitting it raises.  The first contour expands a subset of the states
+    the breadth-first one would, and all of them when it does not meet the
+    target, so depth-first order can only lower the least budget that
+    succeeds, and only when the first contour finds the target.  Deciding
+    this question is NP-hard in general, so the budget is the contract.
     """
     target_cert = canonical_form(h_target)
     src_names, (n, masks) = h_src._index_form
@@ -498,13 +515,15 @@ def search_dilution(
     expanded = set()  # certificates of the states expanded in any contour
     for bound in itertools.count(n - t_n):
         seen, cut = {src_cert}, False
+        depth_first = bound == n - t_n
         # trail[i] is (parent position, step) of the i-th state found; a
         # queued state is its vertex names, form, certificate, position (-1
         # for h_src) and depth
         trail: list[tuple[int, Step]] = []
         queue = deque([(src_names, src_form, src_cert, -1, 0)])
+        take = queue.pop if depth_first else queue.popleft
         while queue:
-            names, form, cert, at, depth = queue.popleft()
+            names, form, cert, at, depth = take()
             if cert not in expanded:
                 expanded.add(cert)
                 if len(expanded) > budget:
@@ -514,6 +533,7 @@ def search_dilution(
             # a vertex step keeps f, a subedge deletion raises it by one
             cap = form[0] - 1 if depth + form[0] - t_n == bound else None
             last = depth + 1 == bound
+            found = []
             for kind, x, c, child_form in _children(form, labelled, target, cap):
                 if c is None:
                     cut = True
@@ -535,7 +555,8 @@ def search_dilution(
                 child_names = (
                     names if kind == _DELETE_SUBEDGE else names[:x] + names[x + 1 :]
                 )
-                queue.append((child_names, child_form, c, len(trail) - 1, depth + 1))
+                found.append((child_names, child_form, c, len(trail) - 1, depth + 1))
+            queue.extend(reversed(found) if depth_first else found)
         if not cut:
             return None
 

@@ -55,6 +55,16 @@ def H(*edges, extra=()):
 seeds = st.integers(min_value=0, max_value=10**6)
 
 
+def relabelled(h, seed):
+    """A copy of h on the vertices ``r0, r1, ...``, shuffled by ``seed``."""
+    names = [f"r{i}" for i in range(len(h.vertices))]
+    random.Random(seed).shuffle(names)
+    rename = dict(zip(sorted(h.vertices), names))
+    return Hypergraph(
+        frozenset(names), frozenset(frozenset(rename[v] for v in e) for e in h.edges)
+    )
+
+
 def random_valid_sequence(h, rng, max_steps=4):
     steps = []
     cur = h
@@ -305,15 +315,17 @@ def index_hypergraph(n, edges):
     return Hypergraph.make([map(str, e) for e in edges], map(str, range(n)))
 
 
-def contour_search(h_src, h_target):
-    """The contour-and-cut breadth-first search over every valid step.
+def contour_search(h_src, h_target, breadth_first=False):
+    """The contour-and-cut search over every valid step.
 
     A child below the target's vertex or edge count, or failing
     ``passes_cuts``, is dropped.  Contour F admits the states at depth d with
     d + vertices - target vertices <= F, starting at the source's value; a
-    child at depth F is tested against the target but not expanded.  Returns
-    the sequence found (or None) and the number of distinct states expanded
-    over all contours.
+    child at depth F is tested against the target but not expanded.  The
+    first contour is depth-first, taking the last state queued and queueing
+    a state's new children in reverse, unless ``breadth_first``; later
+    contours are breadth-first.  Returns the sequence found (or None) and the
+    number of distinct states expanded over all contours.
     """
     target_cert = canonical_form(h_target)
     if canonical_form(h_src) == target_cert:
@@ -327,15 +339,17 @@ def contour_search(h_src, h_target):
     if not admitted(h_src):
         return None, 0
     expanded = set()
-    bound = len(h_src.vertices) - t_n
+    first = bound = len(h_src.vertices) - t_n
     while True:
         seen = {canonical_form(h_src)}
         queue = deque([(h_src, ())])
         cut = False
+        depth_first = bound == first and not breadth_first
         while queue:
-            state, path = queue.popleft()
+            state, path = queue.pop() if depth_first else queue.popleft()
             expanded.add(canonical_form(state))
             depth = len(path) + 1
+            found = []
             for step in valid_steps(state):
                 child = apply_step(state, step)
                 if not admitted(child):
@@ -353,7 +367,8 @@ def contour_search(h_src, h_target):
                 if depth == bound:
                     cut = True
                 else:
-                    queue.append((child, path + (step,)))
+                    found.append((child, path + (step,)))
+            queue.extend(reversed(found) if depth_first else found)
         if not cut:
             return None, len(expanded)
         bound += 1
@@ -361,11 +376,17 @@ def contour_search(h_src, h_target):
 
 def assert_search_matches_oracle(src, target):
     """The unpruned search's sequence, at the least budget of the
-    contour-and-cut reference, which is no more than the unpruned count."""
+    contour-and-cut reference.  That is no more than the reference's with a
+    breadth-first first contour, which is no more than the unpruned count,
+    and equal to it unless the first contour finds the target: past that
+    contour both have expanded all of it, then run the same contours."""
     expected, unpruned = unpruned_search(src, target)
     reference, least = contour_search(src, target)
-    assert reference == expected
-    assert least <= unpruned
+    breadth_first = contour_search(src, target, breadth_first=True)
+    assert reference == breadth_first[0] == expected
+    assert least <= breadth_first[1] <= unpruned
+    if expected is None or len(expected) > len(src.vertices) - len(target.vertices):
+        assert least == breadth_first[1]
     assert search_dilution(src, target, budget=least) == expected
     if least:
         message = f"^dilution search exceeded {least - 1} expanded states$"
@@ -538,6 +559,24 @@ class TestOrbitPruning:
             assert n >= len(target.vertices) and len(masks) >= len(target.edges)
             assert passes_cuts(index_hypergraph(n, map(_bits, masks)), target)
 
+    @pytest.mark.usefixtures("empty_cert_cache")
+    def test_relabelled_mesh_labels_few_forms(self, monkeypatch):
+        # the breadth-first first contour labelled about 1,000 forms here
+        core, keys = dilution._canonical_index, []
+
+        def counting_core(key, budget):
+            keys.append(key)
+            return core(key, budget)
+
+        monkeypatch.setattr(dilution, "_canonical_index", counting_core)
+        target = jigsaw(2, 2)
+        for seed in range(3):
+            copy = relabelled(mesh(3, 4), seed)
+            keys.clear()
+            found = search_dilution(copy, target)
+            assert len(keys) <= 100
+            assert found == unpruned_search(copy, target)[0]
+
     def test_degree2_corpus_matches_unpruned(self):
         """Reachable sets, searched sequences and least budgets on the degree-2
         hosts with at most 5 edges (97 of the 206 of criterion 7)."""
@@ -671,12 +710,7 @@ class TestReachMemo:
 
     @given(search_sources(), seeds)
     def test_warm_sweep_labels_only_its_source(self, h, seed):
-        names = [f"r{i}" for i in range(len(h.vertices))]
-        random.Random(seed).shuffle(names)
-        rename = dict(zip(sorted(h.vertices), names))
-        copy = Hypergraph(
-            frozenset(names), frozenset(frozenset(rename[v] for v in e) for e in h.edges)
-        )
+        copy = relabelled(h, seed)
         core, calls = dilution._canonical_index, []
 
         def counting_core(key, budget):
