@@ -6,6 +6,11 @@ is no existential quantification anywhere (counting results depend on this).
 A query's hypergraph has the variables as vertices and one edge per atom's
 variable set, so atoms sharing a variable set collapse onto one edge.
 
+``count`` and ``evaluate`` run one variable-elimination pass.  Its order is
+planned once from the atoms' scopes; ``count`` sums each variable out inside
+the last join of its step, and ``evaluate`` keeps the joined tables for a
+backward pass that lists the solutions.
+
 ``reduce_along_dilution`` walks a dilution sequence backwards and rebuilds,
 for each step, a query/database pair over the pre-step hypergraph whose
 solutions project onto the original ones and whose solution *count* is
@@ -20,6 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .decomposition import WidthReport, exact_ghw
 from .errors import ConstructionError, InvalidInputError, LimitExceededError
@@ -70,9 +77,8 @@ class Database:
         return dict(self.relations)
 
     def active_domain(self) -> frozenset[str]:
-        return frozenset(
-            c for _, rows in self.relations for row in rows for c in row
-        )
+        rows = chain.from_iterable(rows for _, rows in self.relations)
+        return frozenset(chain.from_iterable(rows))
 
     def size(self) -> int:
         """Total cell count, one slot per tuple added for the relation row itself."""
@@ -83,11 +89,11 @@ class Database:
 
     @classmethod
     def of(cls, mapping) -> "Database":
+        mapping = dict(mapping)
         rels = []
-        for sym in sorted(dict(mapping)):
-            rows = {tuple(r) for r in dict(mapping)[sym]}
-            arities = {len(r) for r in rows}
-            if len(arities) > 1:
+        for sym in sorted(mapping):
+            rows = set(map(tuple, mapping[sym]))
+            if len(set(map(len, rows))) > 1:
                 raise InvalidInputError(f"relation {sym} has mixed arities")
             rels.append((sym, tuple(sorted(rows))))
         return cls(tuple(rels))
@@ -121,8 +127,41 @@ def hypergraph_of(q: ConjunctiveQuery) -> Hypergraph:
 # whose rows all have multiplicity 1; eliminating a variable hash-joins the
 # factors that contain it (multiplicities multiply) and sums it out.  The
 # cost follows the elimination width of the query, not its solution count.
+#
+# The order depends only on the atoms' scopes, so it is planned once, by
+# graph elimination over them, before any table is touched.  ``count`` fuses
+# each step's last join with the sum-out: it accumulates straight into the
+# table keyed without the variable, so the widest joined table is never
+# built.  ``evaluate`` keeps the joined tables for its backward pass.
 
 _Factor = tuple[tuple[str, ...], dict[tuple[str, ...], int]]
+_UNIT: _Factor = ((), {(): 1})
+
+
+def _columns(positions):
+    """Getter for the tuple of a row's values at ``positions``.
+
+    ``itemgetter`` returns a bare value for one position and takes no empty
+    list, so those widths slice the row instead.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0))
+
+
+def _relations(q: ConjunctiveQuery, d: Database) -> dict:
+    """Validate q against d and return d's relations by symbol: arities
+    consistent across q, every relation present with its atoms' arity."""
+    rels = d.relations_dict()
+    q.relation_arities()
+    for a in q.atoms:
+        if a.relation not in rels:
+            raise InvalidInputError(f"unknown relation {a.relation}")
+        if set(map(len, rels[a.relation])) - {len(a.args)}:
+            raise InvalidInputError(f"relation {a.relation} arity mismatch with query")
+    return rels
 
 
 def _atom_factors(q: ConjunctiveQuery, d: Database) -> list[_Factor]:
@@ -130,109 +169,118 @@ def _atom_factors(q: ConjunctiveQuery, d: Database) -> list[_Factor]:
 
     A row survives only if it agrees on the atom's repeated variables.
     """
-    rels = d.relations_dict()
-    q.relation_arities()
-    for a in q.atoms:
-        if a.relation not in rels:
-            raise InvalidInputError(f"unknown relation {a.relation}")
-        for row in rels[a.relation]:
-            if len(row) != len(a.args):
-                raise InvalidInputError(
-                    f"relation {a.relation} arity mismatch with query"
-                )
+    rels = _relations(q, d)
     factors = []
     for a in q.atoms:
+        rows = rels[a.relation]
         scope = tuple(dict.fromkeys(a.args))
-        first = [a.args.index(v) for v in scope]
+        if len(scope) == len(a.args):
+            factors.append((scope, dict.fromkeys(rows, 1)))
+            continue
+        first = _columns([a.args.index(v) for v in scope])
         repeats = [
             (i, a.args.index(v)) for i, v in enumerate(a.args) if a.args.index(v) != i
         ]
-        table = {
-            tuple(row[i] for i in first): 1
-            for row in rels[a.relation]
-            if all(row[i] == row[j] for i, j in repeats)
-        }
+        later = _columns([i for i, _ in repeats])
+        earlier = _columns([j for _, j in repeats])
+        table = {first(row): 1 for row in rows if later(row) == earlier(row)}
         factors.append((scope, table))
     return factors
 
 
-def _next_variable(factors: list[_Factor]) -> str:
-    """Minimum degree over the scopes of the live factors, ties by name."""
-    neighbours: dict[str, set[str]] = {}
-    for scope, _ in factors:
+def _elimination_order(scopes) -> list[str]:
+    """Every variable of the scopes in elimination order: at each step the
+    smallest closed neighbourhood over the live scopes, ties by name.
+
+    Eliminating v replaces the scopes holding v by their union minus v, so
+    the neighbourhoods evolve as in the graph elimination game on the primal
+    graph, and no table is needed to plan the order.
+    """
+    closed: dict[str, set[str]] = {}
+    for scope in scopes:
         for v in scope:
-            neighbours.setdefault(v, set()).update(scope)
-    return min(neighbours, key=lambda v: (len(neighbours[v]), v))
+            closed.setdefault(v, set()).update(scope)
+    order = []
+    while closed:
+        v = min(closed, key=lambda w: (len(closed[w]), w))
+        order.append(v)
+        rest = closed.pop(v)
+        rest.discard(v)
+        for w in rest:
+            closed[w] |= rest
+            closed[w].discard(v)
+    return order
 
 
-def _join(left: _Factor, right: _Factor) -> _Factor:
-    """Hash join on the shared variables; the right side is indexed."""
+def _join(left: _Factor, right: _Factor, drop: str | None = None) -> _Factor:
+    """Hash join on the shared variables; the right side is indexed.
+
+    With ``drop`` (a variable of left's scope) every joined row is summed
+    into the row without it as it is produced, so the join and the sum-out
+    are one pass and the joined table is never built.
+    """
     lscope, ltable = left
     rscope, rtable = right
-    lpos = {v: i for i, v in enumerate(lscope)}
-    lkey = [lpos[v] for v in rscope if v in lpos]
-    rkey = [i for i, v in enumerate(rscope) if v in lpos]
-    rest = [i for i, v in enumerate(rscope) if v not in lpos]
+    lpos = {w: i for i, w in enumerate(lscope)}
+    shared = [i for i, w in enumerate(rscope) if w in lpos]
+    rest = [i for i, w in enumerate(rscope) if w not in lpos]
+    keep = [i for i, w in enumerate(lscope) if w != drop]
+    rkey, tail = _columns(shared), _columns(rest)
+    lkey = _columns([lpos[rscope[i]] for i in shared])
+    head = _columns(keep) if drop is not None else None
     index: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
     for row, n in rtable.items():
-        index.setdefault(tuple(row[i] for i in rkey), []).append(
-            (tuple(row[i] for i in rest), n)
-        )
-    out = {}
-    for row, n in ltable.items():
-        for tail, m in index.get(tuple(row[i] for i in lkey), ()):
-            out[row + tail] = n * m
-    return lscope + tuple(rscope[i] for i in rest), out
-
-
-def _sum_out(factor: _Factor, v: str) -> _Factor:
-    scope, table = factor
-    i = scope.index(v)
+        index.setdefault(rkey(row), []).append((tail(row), n))
     out: dict[tuple[str, ...], int] = {}
-    for row, n in table.items():
-        key = row[:i] + row[i + 1 :]
-        out[key] = out.get(key, 0) + n
-    return scope[:i] + scope[i + 1 :], out
+    for row, n in ltable.items():
+        matches = index.get(lkey(row))
+        if matches:
+            h = row if head is None else head(row)
+            for t, m in matches:
+                key = h + t
+                out[key] = out.get(key, 0) + n * m
+    return tuple(lscope[i] for i in keep) + tuple(rscope[i] for i in rest), out
 
 
-def _eliminate(
-    q: ConjunctiveQuery, d: Database
-) -> tuple[int, list[tuple[str, _Factor]]]:
-    """Forward sum-product pass over the atom factors.
+def _eliminate(q: ConjunctiveQuery, d: Database, steps: list | None = None) -> int:
+    """Forward sum-product pass over the atom factors; the solution count.
 
-    Returns the solution count and, in elimination order, each variable with
-    its joined table from before its sum-out.  A count of 0 comes with no
-    tables: the pass stops at the first empty factor.
+    Given a list ``steps``, each variable is appended to it in elimination
+    order with its joined table from before its sum-out; without one, each
+    step's last join sums the variable out as it goes.  The pass stops at
+    the first empty factor and returns 0.
     """
     live: list[_Factor] = []
     for scope, table in _atom_factors(q, d):
         if not table:
-            return 0, []
+            return 0
         if scope:
             live.append((scope, table))
     total = 1
-    steps: list[tuple[str, _Factor]] = []
-    while live:
-        v = _next_variable(live)
+    for v in _elimination_order([scope for scope, _ in live]):
         touching = sorted((f for f in live if v in f[0]), key=lambda f: len(f[1]))
         live = [f for f in live if v not in f[0]]
+        last = _UNIT if steps is not None or len(touching) == 1 else touching.pop()
         joined = touching[0]
         for f in touching[1:]:
             joined = _join(joined, f)
             if not joined[1]:
-                return 0, []
-        steps.append((v, joined))
-        scope, table = _sum_out(joined, v)
+                return 0
+        if steps is not None:
+            steps.append((v, joined))
+        scope, table = _join(joined, last, v)
+        if not table:
+            return 0
         if scope:
             live.append((scope, table))
         else:
             total *= table[()]
-    return total, steps
+    return total
 
 
 def count(q: ConjunctiveQuery, d: Database) -> int:
     """Exact number of solutions, without listing any of them."""
-    return _eliminate(q, d)[0]
+    return _eliminate(q, d)
 
 
 def evaluate(q: ConjunctiveQuery, d: Database) -> frozenset[Assignment]:
@@ -243,7 +291,8 @@ def evaluate(q: ConjunctiveQuery, d: Database) -> frozenset[Assignment]:
     table on the table's other (already assigned) variables.  Every row of a
     joined table extends to a full solution, so nothing backtracks.
     """
-    total, steps = _eliminate(q, d)
+    steps: list[tuple[str, _Factor]] = []
+    total = _eliminate(q, d, steps)
     if total == 0:
         return frozenset()
     names: list[str] = []
@@ -251,20 +300,20 @@ def evaluate(q: ConjunctiveQuery, d: Database) -> frozenset[Assignment]:
     for v, (scope, table) in reversed(steps):
         i = scope.index(v)
         at = {w: j for j, w in enumerate(names)}
-        key = [at[w] for w in scope if w != v]
+        others = _columns([j for j, w in enumerate(scope) if w != v])
+        assigned = _columns([at[w] for w in scope if w != v])
         index: dict[tuple[str, ...], list[str]] = {}
         for row in table:
-            index.setdefault(row[:i] + row[i + 1 :], []).append(row[i])
-        partial = [p + (c,) for p in partial for c in index[tuple(p[j] for j in key)]]
+            index.setdefault(others(row), []).append(row[i])
+        partial = [p + (c,) for p in partial for c in index[assigned(p)]]
         names.append(v)
     if len(partial) != total:  # pragma: no cover - elimination invariant
         raise ConstructionError(
             f"backward pass listed {len(partial)} solutions, count is {total}"
         )
     order = sorted(range(len(names)), key=names.__getitem__)
-    return frozenset(
-        Assignment(tuple((names[j], p[j]) for j in order)) for p in partial
-    )
+    by_name, sorted_names = _columns(order), [names[j] for j in order]
+    return frozenset(Assignment(tuple(zip(sorted_names, by_name(p)))) for p in partial)
 
 
 def project(solutions, variables) -> frozenset[Assignment]:
@@ -390,9 +439,10 @@ def reduce_along_dilution(
 
     Requirements: no repeated variables inside an atom, the atoms of the
     self-join-free form carry pairwise distinct variable sets, no reserved
-    fresh constants in the database, and the hypergraph of q is isomorphic to
-    the sequence's result.  Solutions of the output project onto the input's
-    solutions and have exactly the same count.
+    fresh constants in the database, the hypergraph of q isomorphic to the
+    sequence's result, and every relation q names in the database with its
+    atoms' arity, as ``count`` requires.  Solutions of the output project
+    onto the input's solutions and have exactly the same count.
 
     Reintroduced vertices that sit in no edge cannot appear in any atom, so
     their reversal is a no-op; the output hypergraph matches the source up to
@@ -412,6 +462,7 @@ def reduce_along_dilution(
         raise InvalidInputError(
             "hypergraph of the query is not isomorphic to the sequence result"
         )
+    _relations(q, d)
     rename = wit.as_dict()
     cur_q = rename_query(q1, rename)
     referenced = {a.relation for a in cur_q.atoms}
@@ -434,7 +485,12 @@ def reduce_along_dilution(
 
 def _reverse_step(q, d, step, image, symgen):
     """Undo one step: rebuild (q, d) over the edges before it, ``image``
-    mapping each of them to the edge it became."""
+    mapping each of them to the edge it became.
+
+    Every relation of d, and every one built here, is sorted and free of
+    duplicates already, so the new database is assembled without
+    ``Database.of``.
+    """
     atoms = _atom_by_edge(q)
     rels = d.relations_dict()
 
@@ -443,14 +499,12 @@ def _reverse_step(q, d, step, image, symgen):
         host = atoms[image[f]]
         pos = {var: i for i, var in enumerate(host.args)}
         args = tuple(sorted(f))
-        cols = [pos[var] for var in args]
+        cols = _columns([pos[var] for var in args])
         sym = symgen.next()
         new_atoms = list(q.atoms) + [Atom(sym, args)]
         new_rels = dict(rels)
-        new_rels[sym] = tuple(
-            sorted({tuple(row[c] for c in cols) for row in rels[host.relation]})
-        )
-        return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
+        new_rels[sym] = tuple(sorted(set(map(cols, rels[host.relation]))))
+        return ConjunctiveQuery(tuple(new_atoms)), _database(new_rels)
 
     # a vertex deletion or a merge on v: the edges without v keep their atoms,
     # and each edge at v gets a fresh one with v as its last argument
@@ -467,28 +521,34 @@ def _reverse_step(q, d, step, image, symgen):
             new_rels[a.relation] = rels[a.relation]
 
     if isinstance(step, DeleteVertex):
+        # one constant appended to sorted rows of one width keeps them sorted
+        fresh = (_fresh_constant(0),)
         for e in incident:
             base = atoms[image[e]]
             sym = symgen.next()
             new_atoms.append(Atom(sym, base.args + (v,)))
-            new_rels[sym] = tuple(
-                sorted(row + (_fresh_constant(0),) for row in rels[base.relation])
-            )
-        return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
+            new_rels[sym] = tuple(row + fresh for row in rels[base.relation])
+        return ConjunctiveQuery(tuple(new_atoms)), _database(new_rels)
 
     # merge: one fresh constant per row of the merged edge's relation
     base = atoms[image[incident[0]]]
-    rows = sorted(rels[base.relation])
-    extended = [row + (_fresh_constant(i + 1),) for i, row in enumerate(rows)]
+    extended = [
+        row + (_fresh_constant(i),) for i, row in enumerate(rels[base.relation], 1)
+    ]
     pos = {var: i for i, var in enumerate(base.args)}
     pos[v] = len(base.args)
     for e in incident:
         args = tuple(sorted(e, key=lambda var: (var == v, var)))
-        cols = [pos[var] for var in args]
+        cols = _columns([pos[var] for var in args])
         sym = symgen.next()
         new_atoms.append(Atom(sym, args))
-        new_rels[sym] = tuple(sorted({tuple(row[c] for c in cols) for row in extended}))
-    return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
+        new_rels[sym] = tuple(sorted(set(map(cols, extended))))
+    return ConjunctiveQuery(tuple(new_atoms)), _database(new_rels)
+
+
+def _database(rels) -> Database:
+    """``Database.of`` for relations that are sorted and duplicate-free."""
+    return Database(tuple(sorted(rels.items())))
 
 
 # -- cores and semantic width --------------------------------------------------

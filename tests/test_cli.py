@@ -349,6 +349,33 @@ class TestCqCommands:
         assert projected == expected
         assert len(sols_p) == len(expected)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("R(1,2).\nR(2,3).\n", "unknown relation S"),
+            ("R(1,2).\nS(2,1,1).\n", "relation S arity mismatch with query"),
+        ],
+        ids=["missing", "arity"],
+    )
+    def test_cq_reduce_rejects_database_not_matching_query(
+        self, tmp_path, capsys, rows, message
+    ):
+        h = tmp_path / "h.hg"
+        h.write_text("e1(a,b)\ne2(b,c)\ne3(c,d)\n")
+        seqf = tmp_path / "s.dseq"
+        seqf.write_text("merge c\n")
+        q = tmp_path / "q.cq"
+        q.write_text("R(a,b)\nS(b,d)\n")
+        d = tmp_path / "d.db"
+        d.write_text(rows)
+        outq, outd = tmp_path / "p.cq", tmp_path / "dp.db"
+        assert main(
+            ["cq-reduce", str(q), str(d), str(h), str(seqf),
+             "--out-query", str(outq), "--out-db", str(outd)]
+        ) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not outq.exists() and not outd.exists()
+
     def test_core_and_sghw(self, tmp_path, capsys):
         q = tmp_path / "q.cq"
         q.write_text("R(x,y)\nR(u,v)\n")

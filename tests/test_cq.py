@@ -20,12 +20,14 @@ from hgdilute.cq import (
     reduce_along_dilution,
     rename_query,
     semantic_ghw,
+    _elimination_order,
 )
 from hgdilute.decomposition import exact_ghw
 from hgdilute.dilution import DilutionSequence, apply_sequence, apply_step, valid_steps
 from hgdilute.errors import InvalidInputError, LimitExceededError
-from hgdilute.generators import jigsaw
+from hgdilute.generators import jigsaw, mesh
 from hgdilute.hypergraph import Hypergraph
+from hgdilute.minors import decide_dilution
 
 from conftest import sample_hypergraph
 
@@ -177,6 +179,86 @@ class TestEvaluate:
         assert evaluate(Q(), Database.of({})) == frozenset({Assignment(())})
 
 
+class TestDatabase:
+    def test_of_accepts_an_iterator_of_pairs(self):
+        d = Database.of(iter([("S", [("c",)]), ("R", [("a", "b"), ("a", "b")])]))
+        assert d == Database.of({"R": [("a", "b")], "S": [("c",)]})
+        assert d.relations == (("R", (("a", "b"),)), ("S", (("c",),)))
+
+    def test_mixed_arities_rejected(self):
+        with pytest.raises(InvalidInputError, match="relation R has mixed arities"):
+            Database.of({"R": [("1",), ("1", "2")]})
+
+
+def stepwise_order(scopes):
+    """The per-step choice the planned order replaces: the smallest closed
+    neighbourhood over the live scopes, ties by name, worked out again from
+    every live scope after each elimination."""
+    live = [tuple(s) for s in scopes if s]
+    order = []
+    while live:
+        neighbours: dict[str, set[str]] = {}
+        for scope in live:
+            for v in scope:
+                neighbours.setdefault(v, set()).update(scope)
+        v = min(neighbours, key=lambda v: (len(neighbours[v]), v))
+        order.append(v)
+        merged = set().union(*(s for s in live if v in s)) - {v}
+        live = [s for s in live if v not in s]
+        if merged:
+            live.append(tuple(sorted(merged)))
+    return order
+
+
+def atom_scopes(q):
+    return [tuple(dict.fromkeys(a.args)) for a in q.atoms]
+
+
+class TestPlannedOrder:
+    @given(general_instances())
+    @settings(max_examples=150)
+    def test_matches_stepwise_choice(self, instance):
+        scopes = atom_scopes(instance[0])
+        assert _elimination_order(scopes) == stepwise_order(scopes)
+
+    def test_jigsaw_queries(self):
+        rng = random.Random(22)
+        for n, m in itertools.product(range(1, 5), repeat=2):
+            if n * m < 2:
+                continue
+            q = query_from_hypergraph(jigsaw(n, m))
+            names = list(q.variables())
+            fresh = [f"w{i}" for i in range(len(names))]
+            rng.shuffle(fresh)
+            for q2 in (q, rename_query(q, dict(zip(names, fresh)))):
+                scopes = atom_scopes(q2)
+                assert _elimination_order(scopes) == stepwise_order(scopes)
+
+
+class TestFusedCount:
+    """Benchmark-sized instances: 16-20 rows a relation over 4 constants, so
+    rows reach the fused sum-out with multiplicities above 1."""
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_count_evaluate_brute_force(self, shape, seed):
+        q = query_from_hypergraph(jigsaw(*shape))
+        rng = random.Random(seed)
+        dom = [str(i) for i in range(1, 5)]
+        d = Database.of(
+            {
+                a.relation: {
+                    tuple(rng.choice(dom) for _ in a.args)
+                    for _ in range(rng.randint(16, 20))
+                }
+                for a in q.atoms
+            }
+        )
+        oracle = brute_solutions(q, d)
+        assert count(q, d) == len(evaluate(q, d)) == len(oracle) > 0
+        assert evaluate(q, d) == oracle
+
+
 class TestJigsawCount:
     """The jigsaw(3,3) query: 9 atoms over 12 variables, 40 rows per relation
     over a domain of 8.  Listing solutions atom by atom does not finish in
@@ -325,6 +407,36 @@ class TestReduction:
         d = Database.of({"R": [("1", "1")]})
         with pytest.raises(InvalidInputError):
             reduce_along_dilution(q, d, h, DilutionSequence.for_source(h, ()))
+
+    @staticmethod
+    def jigsaw22_on_mesh33():
+        """mesh(3,3) diluted to jigsaw(2,2), and that jigsaw's query."""
+        h = mesh(3, 3)
+        seq = decide_dilution(h, jigsaw(2, 2))
+        return query_from_hypergraph(apply_sequence(h, seq)), h, seq
+
+    def test_missing_relation_rejected_as_count_does(self):
+        q, h, seq = self.jigsaw22_on_mesh33()
+        rels = {a.relation: [("1", "2")] for a in q.atoms if a.relation != "E1"}
+        d = Database.of(rels)
+        with pytest.raises(InvalidInputError, match="^unknown relation E1$"):
+            count(q, d)
+        with pytest.raises(InvalidInputError, match="^unknown relation E1$"):
+            reduce_along_dilution(q, d, h, seq)
+        # an empty sequence runs no reverse step, so only the check up front sees it
+        t = apply_sequence(h, seq)
+        with pytest.raises(InvalidInputError, match="^unknown relation E1$"):
+            reduce_along_dilution(q, d, t, DilutionSequence.for_source(t, ()))
+
+    def test_arity_mismatch_rejected_as_count_does(self):
+        q, h, seq = self.jigsaw22_on_mesh33()
+        rels = {a.relation: [("1", "2")] for a in q.atoms}
+        d = Database.of({**rels, "E1": [("1", "2", "3")]})
+        message = "^relation E1 arity mismatch with query$"
+        with pytest.raises(InvalidInputError, match=message):
+            count(q, d)
+        with pytest.raises(InvalidInputError, match=message):
+            reduce_along_dilution(q, d, h, seq)
 
     def test_mismatched_hypergraph_rejected(self):
         h = Hypergraph.make([{"a", "b"}, {"b", "c"}])
