@@ -456,6 +456,8 @@ def reduce_along_dilution(
             raise InvalidInputError(f"constant {c!r} collides with reserved tokens")
 
     q1, d1 = eliminate_self_joins(q, d)
+    # checked here too, as an empty sequence runs no reverse step
+    _atom_by_edge(q1)
     states, images = _walk(h, seq)
     wit = isomorphic(hypergraph_of(q1), states[-1])
     if wit is None:

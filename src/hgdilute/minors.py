@@ -13,18 +13,21 @@ min-degree bound of the host); and a pattern with as many vertices as the
 host, whose branch sets are then single vertices, is none when the host's
 sorted degrees do not dominate its own entry by entry.  During the search
 it drops every partial placement that leaves some connected piece of the
-unplaced pattern no connected region of the unused host to go to, and it
-places a vertex only on a subset with an unused host neighbour for each of
-its pattern neighbours still to come (the free-neighbour cut).  No cut
-removes a branch that holds a model, so the first model found is the one
-the plain search finds.  On 12-16-vertex hosts
+unplaced pattern no connected region of the unused host to go to (one
+with room for it, at least its circuit rank, and next to its placed
+neighbours), it places a vertex only on a subset with an unused host
+neighbour for each of its pattern neighbours still to come (the
+free-neighbour cut), and it enumerates the host's connected subsets only
+up to the largest size a branch set can have.  No cut removes a branch
+that holds a model, so the first model found is the one the plain search
+finds.  On 12-16-vertex hosts
 (relabelled grids, duals of meshes and jigsaws) it finds a 2x2, 3x3 or 4x4
-grid in at most 0.07 s, and the treewidth certificate proves that no 3x3 or
+grid in at most 0.1 s, and the treewidth certificate proves that no 3x3 or
 4x4 grid lies in a 2 x k grid (``grid(2, 7)`` took 2.47e6 attempts before)
 in under 1 ms.  Absences that no certificate settles are proved by the
-search on random 12- and 14-vertex hosts in at most 0.69 s; on 16 vertices
-some still outgrow the default 1e6 attempts, which run out after at most
-2.0 s (timed on a 2-core x86 machine).
+search on random 12- and 14-vertex hosts in at most 0.46 s; on 16 vertices
+2 of 20 still outgrow the default 1e6 attempts, which run out after at
+most 2.0 s (timed on a 2-core x86 machine).
 
 Each plan of the search is built once and kept in a small cache keyed on
 the hypergraph: a pattern's placement order, position adjacency, certificate
@@ -165,17 +168,19 @@ def validate_minor_map(
 # -- exhaustive minor search --------------------------------------------------
 
 
-def _connected_subsets(nbr: list[int]) -> list[tuple[int, int, int]]:
-    """Every connected vertex subset, each exactly once, as (mask,
-    open-neighbourhood mask, size), for the vertices 0..n-1 with neighbour
-    masks ``nbr``; ordered by size, then by the sorted tuple of vertex
-    indices."""
+def _connected_subsets(nbr: list[int], cap: int) -> list[tuple[int, int, int]]:
+    """Every connected vertex subset of at most ``cap`` >= 1 vertices, each
+    exactly once, as (mask, open-neighbourhood mask, size), for the vertices
+    0..n-1 with neighbour masks ``nbr``; ordered by size, then by the sorted
+    tuple of vertex indices, so a smaller cap cuts the list short."""
     top = len(nbr) - 1
     keyed: list[tuple[int, int, int, int]] = []
 
     def expand(mask: int, rev: int, size: int, around: int, banned: int):
         # rev mirrors mask (bit k at top - k): a larger rev sorts first
         keyed.append((size, -rev, mask, around))
+        if size == cap:
+            return
         options = around & ~banned
         while options:
             u = options & -options
@@ -192,6 +197,18 @@ def _connected_subsets(nbr: list[int]) -> list[tuple[int, int, int]]:
     return [(mask, around, size) for size, _, mask, around in keyed]
 
 
+def _piece_rank(adj: list[int], piece: int) -> int:
+    """The circuit rank of the connected vertex set ``piece`` of the graph
+    with neighbour masks ``adj``: its edges less its vertices plus one."""
+    ends = 0
+    rest = piece
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        ends += (adj[b.bit_length() - 1] & piece).bit_count()
+    return (ends >> 1) - piece.bit_count() + 1
+
+
 def _degrees(adj: list[int]) -> list[int]:
     """The vertex degrees of neighbour masks ``adj``, largest first."""
     return sorted((m.bit_count() for m in adj), reverse=True)
@@ -205,9 +222,9 @@ class _Pattern:
     position in that order, ``degrees`` the sorted degrees, ``earlier[i]``
     the placed neighbours of position i, ``later[i]`` the number of its
     neighbours placed after it, and ``fits[i]`` the (size, placed
-    neighbours) of each piece of the pattern left unplaced at depth i, the
-    piece holding position i first.  The treewidth is computed only when a
-    certificate asks for it.
+    neighbours, circuit rank) of each piece of the pattern left unplaced at
+    depth i, the piece holding position i first.  The treewidth is computed
+    only when a certificate asks for it.
     """
 
     def __init__(self, g: Hypergraph):
@@ -233,7 +250,11 @@ class _Pattern:
         self.later = [(adj[i] >> i + 1).bit_count() for i in range(n)]
         self.fits = [
             [
-                (piece.bit_count(), [j for j in range(i) if adj[j] & piece])
+                (
+                    piece.bit_count(),
+                    [j for j in range(i) if adj[j] & piece],
+                    _piece_rank(adj, piece),
+                )
                 for piece in _mask_components(adj, (1 << n) - (1 << i))
             ]
             for i in range(n)
@@ -252,25 +273,32 @@ class _Host:
     """Search set-up of a host, shared by every pattern asked of it: sorted
     names, neighbour masks (vertex i of ``names`` is bit i), edge count,
     circuit rank and sorted degrees; the min-degree elimination bound and
-    the connected subsets are built when a search first needs them."""
+    the connected subsets are built when a search first needs them, the
+    subsets only up to the largest size a search has asked for."""
 
     def __init__(self, host: Hypergraph):
         self.names, (n, masks) = host._index_form
         self.adj = adj = _adjacency(n, masks)
         self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
         self.degrees = _degrees(adj)
+        self.cap, self._subsets = 0, []
 
     @cached_property
     def bound(self) -> int:
         return _min_degree_width(self.adj)
 
-    @cached_property
-    def subsets(self) -> list[tuple[int, int, int]]:
-        return _connected_subsets(self.adj)
+    def subsets(self, cap: int) -> list[tuple[int, int, int]]:
+        """The connected subsets in search order, at least all of at most
+        ``cap`` vertices: the list kept is for the largest cap asked so far,
+        and is rebuilt only when a larger one is asked."""
+        if cap > self.cap:
+            self.cap, self._subsets = cap, _connected_subsets(self.adj, cap)
+        return self._subsets
 
 
-# equal hypergraphs share a plan, so no caller may change one; a failed
-# build is not cached and raises again on every call
+# equal hypergraphs share a plan, so no caller may change one (a host plan
+# only ever extends its subset list); a failed build is not cached and
+# raises again on every call
 _pattern = lru_cache(maxsize=64)(_Pattern)
 _host = lru_cache(maxsize=1)(_Host)
 
@@ -302,12 +330,17 @@ def find_minor(
     then places the pattern vertices in breadth-first order, each on a
     connected host subset by size, and drops a partial placement as soon as
     some connected piece of the unplaced pattern fits no connected piece of
-    the unused host vertices: one with at least as many vertices that
-    touches the image of every placed neighbour of the piece.  The next
-    vertex is tried only inside a region that fits its own piece, and only
-    on a subset with at least one unused host neighbour for each of its
-    pattern neighbours still to be placed.  These only cut branches without
-    a completion, so the first model found is the unpruned search's.
+    the unused host vertices: one with at least as many vertices and at
+    least the piece's circuit rank (the circuit-rank cut: the piece is a
+    minor of the region it goes to) that touches the image of every placed
+    neighbour of the piece.  The next vertex is tried only inside a region
+    that fits its own piece, and only on a subset with at least one unused
+    host neighbour for each of its pattern neighbours still to be placed.
+    Every other pattern vertex needs a branch set of its own, so the host's
+    connected subsets are enumerated only up to |host| - |pattern| + 1
+    vertices (the size cap).  These only cut branches without a completion
+    or subsets no placement can take, so the first model found is the
+    unpruned search's.
     """
     pattern = _pattern(g)
     if len(pattern.names) > len(host.vertices):
@@ -332,7 +365,8 @@ def find_minor(
 
     n, names, nbr = len(pattern.names), plan.names, plan.adj
     earlier, later, fits = pattern.earlier, pattern.later, pattern.fits
-    subsets = plan.subsets
+    # every other pattern vertex takes at least one host vertex
+    subsets = plan.subsets(len(names) - n + 1)
     everything = (1 << len(names)) - 1
     attempts = 0
 
@@ -343,13 +377,16 @@ def find_minor(
         free = everything & ~used
         limit = free.bit_count() - (n - i - 1)
         # a piece fits a region (a connected piece of the free host) that has
-        # room for it and touches the image of each of its placed neighbours;
-        # the vertex at depth i must go to a region that fits its own piece
+        # room for it, no smaller circuit rank, as the piece is a minor of
+        # the region, and touches the image of each of its placed
+        # neighbours; the vertex at depth i must go to a region that fits
+        # its own piece.  A tree fits any rank, so a region's rank is
+        # counted only for a piece with a cycle
         regions = _mask_components(nbr, free)
-        for k, (size, touch) in enumerate(fits[i]):
+        for k, (size, touch, rank) in enumerate(fits[i]):
             spot = room = 0
             for r in regions:
-                if r.bit_count() >= size:
+                if r.bit_count() >= size and (not rank or _piece_rank(nbr, r) >= rank):
                     for j in touch:
                         if not r & rims[j]:
                             break

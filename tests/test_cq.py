@@ -23,10 +23,16 @@ from hgdilute.cq import (
     _elimination_order,
 )
 from hgdilute.decomposition import exact_ghw
-from hgdilute.dilution import DilutionSequence, apply_sequence, apply_step, valid_steps
+from hgdilute.dilution import (
+    DilutionSequence,
+    MergeOn,
+    apply_sequence,
+    apply_step,
+    valid_steps,
+)
 from hgdilute.errors import InvalidInputError, LimitExceededError
 from hgdilute.generators import jigsaw, mesh
-from hgdilute.hypergraph import Hypergraph
+from hgdilute.hypergraph import Hypergraph, isomorphic
 from hgdilute.minors import decide_dilution
 
 from conftest import sample_hypergraph
@@ -437,6 +443,21 @@ class TestReduction:
             count(q, d)
         with pytest.raises(InvalidInputError, match=message):
             reduce_along_dilution(q, d, h, seq)
+
+    def test_shared_variable_set_rejected_with_any_sequence(self):
+        # R and S share {x, y}: the query's hypergraph is still a two-edge path
+        q = Q(("R", "xy"), ("S", "xy"), ("T", "yz"))
+        d = Database.of({"R": [("1", "2")], "S": [("1", "2")], "T": [("2", "3")]})
+        message = "^two atoms share one variable set"
+        path = Hypergraph.make([{"a", "b"}, {"b", "c"}])
+        with pytest.raises(InvalidInputError, match=message):
+            reduce_along_dilution(q, d, path, DilutionSequence.for_source(path, ()))
+        # a non-empty sequence was rejected by its first reverse step already
+        longer = Hypergraph.make([{"a", "b"}, {"b", "c"}, {"c", "d"}])
+        seq = DilutionSequence.for_source(longer, (MergeOn("c"),))
+        assert isomorphic(apply_sequence(longer, seq), path) is not None
+        with pytest.raises(InvalidInputError, match=message):
+            reduce_along_dilution(q, d, longer, seq)
 
     def test_mismatched_hypergraph_rejected(self):
         h = Hypergraph.make([{"a", "b"}, {"b", "c"}])

@@ -48,6 +48,7 @@ from hgdilute.minors import (
     validate_expressive_minor,
     validate_minor_map,
     validate_prejigsaw,
+    _connected_subsets,
     _host,
     _pattern,
     _wider,
@@ -354,14 +355,16 @@ class TestAbsenceCertificates:
 
 
 def reference_find_minor(g, host):
-    """The search without the degree certificate and the free-neighbour cut,
-    kept as the reference: (model or None, placement attempts made)."""
+    """The search without the degree certificate, the free-neighbour cut,
+    the circuit-rank cut per piece and the cap on subset sizes, kept as the
+    reference: (model or None, placement attempts made)."""
     pattern, plan = _pattern(g), _host(host)
     if len(pattern.names) > len(plan.names) or (
         pattern.edges > plan.edges or pattern.rank > plan.rank or _wider(pattern, plan)
     ):
         return None, 0
-    n, nbr, subsets = len(pattern.names), plan.adj, plan.subsets
+    n, nbr = len(pattern.names), plan.adj
+    subsets = _connected_subsets(nbr, len(nbr))
     everything = (1 << len(plan.names)) - 1
     attempts = 0
 
@@ -372,7 +375,7 @@ def reference_find_minor(g, host):
         free = everything & ~used
         limit = free.bit_count() - (n - i - 1)
         regions = _mask_components(nbr, free)
-        for k, (size, touch) in enumerate(pattern.fits[i]):
+        for k, (size, touch, _) in enumerate(pattern.fits[i]):
             spot = room = 0
             for r in regions:
                 if r.bit_count() >= size and all(r & rims[j] for j in touch):
@@ -565,7 +568,8 @@ class TestMinorMapsMatchReferences:
 
 class TestPinnedSearch:
     """Witnesses copied from the frozenset search; attempt counts from the
-    search with free-region pruning and the free-neighbour cut."""
+    search with free-region pruning, the free-neighbour cut and the
+    circuit-rank cut per piece."""
 
     # a relabelled grid(3,4): sorted grid vertex i becomes RELABEL[i]
     RELABEL = ["q10", "q6", "q2", "q1", "q4", "q11", "q0", "q7", "q5", "q8", "q3", "q9"]
@@ -594,20 +598,21 @@ class TestPinnedSearch:
 
     def test_exact_attempt_budget(self):
         # 36120 attempts before free-region pruning, 5967 before the
-        # free-neighbour cut
-        assert find_minor(grid(3, 3), self.host(), budget=4297) is not None
-        with pytest.raises(BudgetExceededError, match="4296 placement attempts"):
-            find_minor(grid(3, 3), self.host(), budget=4296)
+        # free-neighbour cut, 4297 before the circuit-rank cut
+        assert find_minor(grid(3, 3), self.host(), budget=926) is not None
+        with pytest.raises(BudgetExceededError, match="925 placement attempts"):
+            find_minor(grid(3, 3), self.host(), budget=925)
 
     def test_exact_absence_budget(self):
         # no certificate fires on grid(3,4) less a middle edge; the pruned
-        # search proves absence in 28724 attempts (53772 without the
-        # free-neighbour cut, 205616 unpruned)
+        # search proves absence in 15428 attempts (28724 without the
+        # circuit-rank cut, 53772 without the free-neighbour cut either,
+        # 205616 unpruned)
         g = grid(3, 4)
         host = Hypergraph(g.vertices, g.edges - {frozenset({"x2_2", "x2_3"})})
-        assert find_minor(grid(3, 3), host, budget=28724) is None
-        with pytest.raises(BudgetExceededError, match="28723 placement attempts"):
-            find_minor(grid(3, 3), host, budget=28723)
+        assert find_minor(grid(3, 3), host, budget=15428) is None
+        with pytest.raises(BudgetExceededError, match="15427 placement attempts"):
+            find_minor(grid(3, 3), host, budget=15427)
 
 
 class TestPreparedSearch:
@@ -648,6 +653,94 @@ class TestPreparedSearch:
         for _ in range(2):
             with pytest.raises(InvalidInputError, match=why):
                 find_minor(g, grid(3, 3))
+
+
+class TestRankCut:
+    """A connected piece of the unplaced pattern is a minor of the free
+    region it goes to, so that region's circuit rank is at least its own."""
+
+    def test_theta_not_in_two_hexagons(self):
+        # a and b joined by three 2-paths: rank 2, as the two hexagons have
+        # together, but each hexagon alone has rank 1
+        theta = H(*(f"{end}{mid}" for mid in "123" for end in "ab"))
+        hexagons = Hypergraph.make(
+            [{f"{t}{i}", f"{t}{(i + 1) % 6}"} for t in "pq" for i in range(6)]
+        )
+        assert _circuit_rank(masks(theta)) == _circuit_rank(masks(hexagons)) == 2
+        assert _edge_count(masks(theta)) < _edge_count(masks(hexagons))
+        assert not _wider(_pattern(theta), _host(hexagons))
+        # 24 attempts without the cut
+        assert find_minor(theta, hexagons, budget=0) is None
+
+    def test_piece_ranks(self):
+        g = grid(2, 3)
+        fits = _pattern(g).fits
+        assert [rank for _, _, rank in fits[0]] == [2]
+        assert [rank for _, _, rank in fits[1]] == [1]
+        assert all(rank == 0 for pieces in fits[3:] for _, _, rank in pieces)
+
+
+class TestCappedSubsets:
+    """A branch set holds at most |host| - |pattern| + 1 vertices, so the
+    host plan enumerates no larger subset than some pattern can use."""
+
+    PATTERNS = [grid(3, 3), grid(2, 3), H("ab", "bc", "cd", "da"), H("ab")]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_capped_list_is_a_prefix(self, seed):
+        rng = random.Random(seed)
+        host = random_connected_graph(rng, 5 + seed, rng.randint(0, 8))
+        if seed % 2:  # and a second component
+            other = random_connected_graph(rng, 4, 2)
+            host = Hypergraph(
+                host.vertices | {"w" + v for v in other.vertices},
+                host.edges | {frozenset("w" + v for v in e) for e in other.edges},
+            )
+        nbr = masks(host)
+        full = _connected_subsets(nbr, len(nbr))
+        assert len(set(full)) == len(full)
+        assert {s for s, _, _ in full} == {
+            s for s in range(1, 1 << len(nbr)) if len(_mask_components(nbr, s)) == 1
+        }
+        for cap in range(1, len(nbr) + 2):
+            kept = [t for t in full if t[2] <= cap]
+            assert _connected_subsets(nbr, cap) == kept
+
+    def assert_order_free(self, host, patterns):
+        fresh = []
+        for g in patterns:
+            minors._host.cache_clear()
+            fresh.append(find_minor(g, host))
+        for order in (patterns, patterns[::-1]):
+            minors._host.cache_clear()
+            shared = {g: find_minor(g, host) for g in order}
+            assert [shared[g] for g in patterns] == fresh
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cap_order_does_not_change_models(self, seed):
+        rng = random.Random(seed)
+        host = random_connected_graph(rng, 10 + seed, 8)
+        self.assert_order_free(host, self.PATTERNS)
+
+    def test_small_pattern_after_a_large_one(self):
+        # a triangle in an 8-cycle needs a branch set of 6 vertices, which
+        # the plan built for the 8-cycle itself (cap 1) does not hold
+        ring = Hypergraph.make([{f"c{i}", f"c{(i + 1) % 8}"} for i in range(8)])
+        triangle = H("ab", "bc", "ca")
+        self.assert_order_free(ring, [ring, triangle])
+        assert max(map(len, find_minor(triangle, ring).as_dict().values())) == 6
+
+    def test_plan_holds_no_subset_above_the_largest_cap(self):
+        host = grid(3, 4)
+        minors._host.cache_clear()
+        largest = 0
+        for g in self.PATTERNS:
+            find_minor(g, host)
+            largest = max(largest, len(host.vertices) - len(g.vertices) + 1)
+            plan = _host(host)
+            assert plan.cap == largest
+            assert max(size for _, _, size in plan._subsets) == largest
+        assert largest == 11
 
 
 def _renamed(h, tag):
