@@ -21,16 +21,17 @@ vertex.  The recurrence over eliminated sets is evaluated top down from the
 empty set with a cutoff at the best order found so far, memoised in dicts, so
 a set that cannot beat that order is never expanded: most inputs visit a few
 percent of the 2^n sets, and the recursion is at most one frame per vertex
-deep.  An elimination bag is a flood through the eliminated set whose every
-step is three table lookups.  The cover number of a bag mask is memoised per
-mask, and each witness cover is read off that memo: the edges are walked in
-``edge_key`` order and an edge is kept when it meets what is left of the bag
-and lowers its cover number by one, which yields the lexicographically-first
-minimum cover.  ``min_edge_cover`` is the same readout on a memo of its own.
-Ties go to the smallest vertex name, so the witness is a function of the input
-alone.  In the worst case time and memory still grow as 2^n in the covered
-vertices, hence the hard input limits; the number of edges needs no limit of
-its own.
+deep; the first cutoff is one above the min-degree order's cost (Gogate and
+Dechter, UAI 2004).  An elimination bag is a flood through the eliminated
+set whose every step is three table lookups.  The cover number of a bag
+mask is memoised per mask and filled under the same cutoff, and each
+witness cover is read off that memo: the edges are walked in ``edge_key``
+order and an edge is kept when it meets what is left of the bag and lowers
+its cover number by one, which yields the lexicographically-first minimum
+cover.  ``min_edge_cover`` reads an exact memo of its own.  Ties go to the
+smallest vertex name, so the witness is a function of the input alone.  In
+the worst case time and memory still grow as 2^n in the covered vertices,
+hence the hard input limits; the number of edges needs no limit of its own.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _union_table(block: list[int]) -> list[int]:
     return table
 
 
-def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
+def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int]]:
     """Elimination order minimising the max bag cost, by a subset DP on masks.
 
     best[P] is the least max bag cost of eliminating the rest once the set P
@@ -188,11 +189,13 @@ def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
     strictly smaller cost replaces the running choice.  So whenever best[P]
     is below the cutoff, the choice kept for P is the least (cost, index),
     the one a fill of all 2^n sets keeps, and a set that cannot beat the
-    best order found so far is never expanded.  The root cutoff is above
-    any bag cost, so best[0] is exact, and so is best at each set the kept
-    choices lead to; the order follows them from P = 0.  The recursion is at
-    most n + 1 frames deep.  The worst case still visits all 2^n sets.
-    Returns the width, the order and the order's bags.
+    best order found so far is never expanded.  The root cutoff ``top`` lies
+    above the optimum (the callers pass the min-degree order's cost plus
+    one), so best[0] is exact, and so is best at each set the kept choices
+    lead to; the order follows them from P = 0, the same for every such
+    ``top``.  A cost of ``top`` or more only needs to be at least ``top``.
+    The recursion is at most n + 1 frames deep.  The worst case still visits
+    all 2^n sets.  Returns the width, the order and the order's bags.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -241,7 +244,7 @@ def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
             floor[P] = k
         return value
 
-    width = solve(0, n + 1)  # above any bag cost
+    width = solve(0, top)
     del solve  # the closure refers to itself; drop the cycle with the memo
     order: list[int] = []
     bags: list[int] = []
@@ -254,31 +257,32 @@ def _eliminate(adj: list[int], cost) -> tuple[int, list[int], list[int]]:
     return width, order, bags
 
 
-def _min_degree_width(adj: list[int]) -> int:
-    """Treewidth upper bound: the widest bag of a min-degree elimination.
-
-    Eliminating v turns its remaining neighbours into a clique; the bag is v
-    plus those neighbours, so the width is the largest neighbour count met.
-    Ties go to the lowest index.  Any elimination order bounds the treewidth
-    from above.  Once no more vertices are left than the widest bag so far,
-    no later bag can be wider.  -1 for no vertices.
-    """
+def _min_degree_bags(adj: list[int]) -> list[int]:
+    """The bags of the min-degree elimination order, whose largest cost
+    bounds the optimum of any bag cost.  Eliminating v turns its remaining
+    neighbours into a clique, and its bag is v plus those neighbours, as in
+    ``_eliminate``.  Ties go to the lowest index."""
     adj = list(adj)
     left = list(range(len(adj)))
-    width = -1
-    while len(left) > width + 1:
+    bags = []
+    while left:
         degrees = [adj[v].bit_count() for v in left]
-        k = degrees.index(min(degrees))
-        v = left.pop(k)
-        width = max(width, degrees[k])
+        v = left.pop(degrees.index(min(degrees)))
         around = adj[v]
+        bags.append(around | 1 << v)
         rest = around
         while rest:
             u = rest & -rest
             rest ^= u
             i = u.bit_length() - 1
             adj[i] = (adj[i] | around) & ~(u | 1 << v)
-    return width
+    return bags
+
+
+def _min_degree_width(adj: list[int]) -> int:
+    """Treewidth upper bound: the widest min-degree bag less one, -1 for no
+    vertices."""
+    return max(map(int.bit_count, _min_degree_bags(adj)), default=0) - 1
 
 
 def _td_from_order(
@@ -324,8 +328,9 @@ def exact_treewidth(
         td = TreeDecomposition(("t1",), (("t1", None),), (("t1", frozenset()),))
         return WidthReport("tw", -1, "t1"), td
     verts, (n, masks) = h._index_form
+    adj = _adjacency(n, masks)
     # the bag size is the cost; the width is one less
-    size, order, bags = _eliminate(_adjacency(n, masks), int.bit_count)
+    size, order, bags = _eliminate(adj, int.bit_count, _min_degree_width(adj) + 2)
     width = size - 1
     td = _td_from_order(verts, order, bags)
     ok, why = validate_td(h, td)
@@ -371,6 +376,45 @@ class _CoverNumbers(dict):
             x = stack.pop()
 
 
+class _CappedCovers(_CoverNumbers):
+    """Edge-cover numbers capped: ``cover[m]`` is min(cover number, cap).
+
+    A miss runs ``_eliminate``'s cutoff on ``_CoverNumbers``' recurrence:
+    ``fill(m, k)`` is min(cover number, k), and an edge's rest is filled
+    only below the running value less one, so a fill is at most ``cap``
+    frames deep.  Exact numbers are memoised in the dict, "at least k" in
+    ``low``.
+    """
+
+    def __init__(self, edges: list[int], n: int, cap: int):
+        super().__init__(edges, n)
+        self.low: dict[int, int] = {}  # cover number of m >= low[m]
+        self.cap = cap
+
+    def fill(self, m: int, k: int) -> int:
+        got = self.get(m)
+        if got is not None:
+            return got if got < k else k
+        if self.low.get(m, 0) >= k:
+            return k
+        value = k
+        for e in self.at[(m & -m).bit_length() - 1]:
+            if value <= 1:  # m is not empty, so nothing covers it with fewer
+                break
+            c = 1 + self.fill(m & ~e, value - 1)
+            if c < value:
+                value = c
+        if value < k:
+            self[m] = value
+        else:
+            self.low[m] = k
+        return value
+
+    def __missing__(self, m: int) -> int:
+        got = self[m] = self.fill(m, self.cap)
+        return got
+
+
 def _read_cover(edges: list[int], cover: _CoverNumbers, m: int) -> list[int]:
     """Positions in ``edges`` of the lexicographically-first minimum cover of m.
 
@@ -378,7 +422,8 @@ def _read_cover(edges: list[int], cover: _CoverNumbers, m: int) -> list[int]:
     minimum cover of m, that is, meets m and leaves a rest whose cover number
     is one less.  The rest's lexicographically-first minimum cover is the
     remainder of m's, and every position in it comes later, so one forward
-    walk over the edges reads the whole cover off the memo.
+    walk over the edges reads the whole cover off the memo.  Capped numbers
+    serve when m's lies below the cap: a rest is compared only with one less.
     """
     need = cover[m]
     picked = []
@@ -432,8 +477,11 @@ def exact_ghw(
     index = {v: i for i, v in enumerate(covered)}
     edges = sorted(h.edges, key=edge_key)
     masks = [_mask(index, e) for e in edges]
-    cover = _CoverNumbers(masks, len(covered))
-    width, order, bags = _eliminate(_adjacency(len(covered), masks), cover.__getitem__)
+    adj = _adjacency(len(covered), masks)
+    cover = _CappedCovers(masks, len(covered), len(covered) + 1)  # exact
+    top = 1 + max([cover[bag] for bag in _min_degree_bags(adj)])
+    cover.cap = top  # every number read so far lies below it
+    width, order, bags = _eliminate(adj, cover.__getitem__, top)
     td = _td_from_order(covered, order, bags)
     covers = tuple(
         (name, frozenset(edges[i] for i in _read_cover(masks, cover, bag)))

@@ -18,23 +18,24 @@ vertex, so each class lies at one depth there, and a depth-first pass
 meets each class from the same parent as a breadth-first one.  That
 contour runs depth-first: it reaches the target's level without first
 exhausting every level above it and returns the same sequence, so least
-budgets can only fall.  Search states are deduplicated by canonical form,
-so a ``None`` result means proven absence, while running out of budget
-raises.  Of the steps that a state's automorphisms (found by the
-canonical labelling) map onto one another, only the first is expanded: the
-others lead to isomorphic children, which the unpruned search would have
-found already seen, so the visited states, the budget used and the
-returned sequences are unchanged.
+budgets can only fall; it labels a child only when it takes it.  Search
+states are deduplicated by canonical form, so a ``None`` result means
+proven absence, while running out of budget raises.  Of the steps that a
+state's automorphisms (found by the canonical labelling) map onto one
+another, only the first is expanded: the others lead to isomorphic
+children, which the unpruned search would have found already seen, so the
+visited states, the budget used and the returned sequences are unchanged.
 
 The search runs on int masks, not on named hypergraphs: a state is a
 frozenset of edge masks over its vertices in name order, each step a few bit
 operations, and each child is born in the index form the labelling core
-(``hypergraph._canonical_index``) takes.  ``_children`` is the one place a
-sweep steps, drops a child below the target's size, failing its cuts or
-beyond the search's contour, looks up an index form it has met before and
-labels the rest; both sweeps, ``search_dilution`` and
-``reachable_dilutions`` (with no target), run on it.  Named ``Step`` values
-are built only for the states the search finds.
+(``hypergraph._canonical_index``) takes.  Both sweeps, ``search_dilution``
+and ``reachable_dilutions`` (with no target), run on two kernels:
+``_children`` is the one place a sweep steps and drops a child below the
+target's size or beyond the search's contour, and ``_label`` the one place
+it drops a child failing the target's cuts, looks up an index form it has
+met before and labels the rest.  Named ``Step`` values are built only for
+the states the search finds.
 
 ``_step`` is the one place that gives step semantics on named hypergraphs:
 it returns the child and the edge image, which says which child edge each
@@ -398,25 +399,18 @@ def _may_reach(n: int, masks, goal: tuple[list[int], int, int]) -> bool:
     )
 
 
-def _children(
-    form: tuple, labelled: dict, target: tuple | None = None, cap: int | None = None
-):
+def _children(form: tuple, target: tuple | None = None, cap: int | None = None):
     """The children of a sweep state ``form`` = ``(n, edges, gens)``, on
     vertices ``0..n-1`` with edge masks ``edges``, along the steps of
-    ``_index_steps`` in its order: yields ``(kind, x, cert, child form)``.
+    ``_index_steps`` in its order: yields ``(kind, x, child n, child
+    edges)``, unlabelled.
 
     With a ``target``, its vertex and edge count and ``_invariants``, a
-    child with fewer vertices or edges, or one that fails ``_may_reach``,
-    is dropped before any labelling; a child with more than ``cap``
-    vertices is not labelled either, and is yielded with cert and form
-    None, so that the caller sees its bound cut something.  The rest are
-    looked up in the sweep's ``labelled`` table (index form -> certificate
-    and generators, or False for a form the invariants cut) and labelled,
-    and entered there, only on a miss.  Each child form ``(n, edges,
-    gens)`` carries the generators it was labelled with.
-
-    Deleting or merging on vertex x squeezes bit x out of every mask, so
-    each child is already in its own order-preserving index form.
+    child with fewer vertices or edges is dropped; one with more than
+    ``cap`` vertices is yielded with edges None, so that the caller sees
+    its bound cut something.  Deleting or merging on vertex x squeezes bit
+    x out of every mask, so each child is already in its own
+    order-preserving index form.
     """
     n, edges, gens = form
     for kind, x in _index_steps(n, edges, gens):
@@ -439,20 +433,25 @@ def _children(
             if child_n < target[0] or len(child) < target[1]:
                 continue
             if cap is not None and child_n > cap:
-                yield kind, x, None, None
+                yield kind, x, child_n, None
                 continue
-        got = labelled.get((child_n, child))
-        if got is None:
-            if target is not None and not _may_reach(child_n, child, target[2]):
-                labelled[child_n, child] = False
-                continue
-            cert, _, child_gens = _canonical_index(
-                (child_n, tuple(sorted(child))), DEFAULT_ISO_BUDGET
-            )
-            labelled[child_n, child] = got = cert, child_gens
-        elif got is False:
-            continue
-        yield kind, x, got[0], (child_n, child, got[1])
+        yield kind, x, child_n, child
+
+
+def _label(labelled: dict, n: int, edges: frozenset, target: tuple | None = None):
+    """The certificate and generators of the index form ``(n, edges)``, or
+    None when it fails the ``_may_reach`` cut of a ``target``: looked up in
+    the sweep's ``labelled`` table (index form -> certificate and
+    generators, or False for a form the cut drops), and labelled and
+    entered there only on a miss."""
+    got = labelled.get((n, edges))
+    if got is None:
+        if target is not None and not _may_reach(n, edges, target[2]):
+            labelled[n, edges] = False
+            return None
+        cert, _, gens = _canonical_index((n, tuple(sorted(edges))), DEFAULT_ISO_BUDGET)
+        labelled[n, edges] = got = cert, gens
+    return got or None
 
 
 def search_dilution(
@@ -483,16 +482,21 @@ def search_dilution(
     plain breadth-first search restricted to its own states, in the same
     order and with the same discovery parents.
 
-    The first contour alone runs depth-first: it takes the state queued
-    last and queues a state's new children in reverse step order.  Each
-    step it admits removes one vertex, so each class in it lies at exactly
-    one depth, the source's vertices minus its own, and is met only from
-    the level above.  Pre-order then meets each level in breadth-first
-    order, the lexicographic order of discovery paths, so every class is
-    first met from the same parent by the same step as breadth-first, and
-    so is the target.  The first contour that meets the target thus
-    returns the plain search's sequence.  When a contour cuts nothing it
-    was the whole pruned search, and None is proven.
+    The first contour alone runs depth-first: it takes the entry queued
+    last and queues a state's children in reverse step order.  Each step
+    it admits removes one vertex, so each class in it lies at exactly one
+    depth, the source's vertices minus its own, and is met only from the
+    level above.  Pre-order then meets each level in breadth-first order,
+    the lexicographic order of discovery paths, so every class is first
+    met from the same parent by the same step as breadth-first, and so is
+    the target.  The first contour that meets the target thus returns the
+    plain search's sequence.  When a contour cuts nothing it was the whole
+    pruned search, and None is proven.
+
+    That contour labels a child only when it takes it, so siblings left
+    when the target turns up are never labelled.  An earlier sibling's
+    subtree has fewer vertices than the child, so it never holds the
+    child's class, and nothing else changes.
 
     The budget counts distinct states expanded, summed over all contours;
     hitting it raises.  The first contour expands a subset of the states
@@ -518,28 +522,38 @@ def search_dilution(
         depth_first = bound == n - t_n
         # trail[i] is (parent position, step) of the i-th state found; a
         # queued state is its vertex names, form, certificate, position (-1
-        # for h_src) and depth
+        # for h_src) and depth, and a depth-first child waits as its parent's
+        # entry with (kind, x, child n, child edges) for form and no cert
         trail: list[tuple[int, Step]] = []
         queue = deque([(src_names, src_form, src_cert, -1, 0)])
         take = queue.pop if depth_first else queue.popleft
         while queue:
             names, form, cert, at, depth = take()
-            if cert not in expanded:
-                expanded.add(cert)
-                if len(expanded) > budget:
-                    raise BudgetExceededError(
-                        f"dilution search exceeded {budget} expanded states"
-                    )
-            # a vertex step keeps f, a subedge deletion raises it by one
-            cap = form[0] - 1 if depth + form[0] - t_n == bound else None
+            if cert is None:  # once found, it goes back on top and is expanded
+                children = [form]
+            else:
+                if cert not in expanded:
+                    expanded.add(cert)
+                    if len(expanded) > budget:
+                        raise BudgetExceededError(
+                            f"dilution search exceeded {budget} expanded states"
+                        )
+                # a vertex step keeps f, a subedge deletion raises it by one
+                cap = form[0] - 1 if depth + form[0] - t_n == bound else None
+                children = _children(form, target, cap)
             last = depth + 1 == bound
             found = []
-            for kind, x, c, child_form in _children(form, labelled, target, cap):
-                if c is None:
+            for kind, x, child_n, child in children:
+                if child is None:
                     cut = True
                     continue
-                if c in seen:
+                if depth_first and cert is not None:  # labelled when taken
+                    found.append((names, (kind, x, child_n, child), None, at, depth))
                     continue
+                got = _label(labelled, child_n, child, target)
+                if got is None or got[0] in seen:
+                    continue
+                c = got[0]
                 step = _named_step(kind, x, names)
                 if c == target_cert:
                     steps = [step]
@@ -555,6 +569,7 @@ def search_dilution(
                 child_names = (
                     names if kind == _DELETE_SUBEDGE else names[:x] + names[x + 1 :]
                 )
+                child_form = child_n, child, got[1]
                 found.append((child_names, child_form, c, len(trail) - 1, depth + 1))
             queue.extend(reversed(found) if depth_first else found)
         if not cut:
@@ -586,9 +601,9 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
     for the source and for the children of a state being labelled, and
     ``seen`` and the queue hold nodes, so a node that has its children is
     walked without hashing a certificate.  A state without them is expanded
-    by ``_children`` as in ``search_dilution``, with no target and so no
-    cut, from an index form and generators it was labelled with in this
-    sweep, or else from its certificate's own index form.  Once its
+    by ``_children`` and ``_label`` as in ``search_dilution``, with no
+    target and so no cut, from an index form and generators it was labelled
+    with in this sweep, or else from its certificate's own index form.  Once its
     expansion has finished, the nodes of all its children are written to its
     node, and a later sweep from any source that meets the node reads them
     there.  A node in the process-wide, capped ``_reach_memo`` keeps them
@@ -626,9 +641,10 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
                 gens = _canonical_index((n, tuple(masks)), DEFAULT_ISO_BUDGET)[2]
                 form = (n, frozenset(masks), gens)
             found = []
-            for _, _, c, child_form in _children(form, labelled):
+            for _, _, child_n, child_edges in _children(form):
+                c, child_gens = _label(labelled, child_n, child_edges)
                 child = _class_node(c, local)
-                forms.setdefault(child, child_form)
+                forms.setdefault(child, (child_n, child_edges, child_gens))
                 found.append(child)
             children = tuple(dict.fromkeys(found))
             # the memo's nodes hold only nodes of the memo

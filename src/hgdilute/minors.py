@@ -266,7 +266,7 @@ class _Pattern:
 
     @cached_property
     def treewidth(self) -> int:
-        return _eliminate(self.adj, int.bit_count)[0] - 1
+        return _eliminate(self.adj, int.bit_count, self.min_degree_width + 2)[0] - 1
 
 
 class _Host:

@@ -423,21 +423,38 @@ def oracle_eliminate(adj, cost):
 
 
 def elimination_cases(h):
-    """(adj, fresh cost) pairs as exact_treewidth and exact_ghw build them."""
-    yield _adjacency(*h._index_form[1]), lambda: int.bit_count
+    """(adj, fresh cost) pairs as exact_treewidth and exact_ghw build them;
+    given a cap, a fresh cover cost is capped there, as in exact_ghw."""
+    yield _adjacency(*h._index_form[1]), lambda cap=None: int.bit_count
     covered = {v: i for i, v in enumerate(sorted({v for e in h.edges for v in e}))}
     edges = sorted(h.edges, key=edge_key)
     masks = [_mask(covered, e) for e in edges]
-    yield _adjacency(len(covered), masks), lambda: (
-        decomposition._CoverNumbers(masks, len(covered)).__getitem__
-    )
+    n = len(covered)
+    yield _adjacency(n, masks), lambda cap=None: (
+        decomposition._CoverNumbers(masks, n)
+        if cap is None
+        else decomposition._CappedCovers(masks, n, cap)
+    ).__getitem__
+
+
+def assert_every_top_matches_oracle(adj, fresh_cost):
+    """Every root cutoff from the optimum + 1 up to n + 1, and the cost of
+    the min-degree order plus one, keep the full DP's width, order and
+    bags, on the cost and on the cost capped at the cutoff."""
+    expected = oracle_eliminate(adj, fresh_cost())
+    seed = 1 + max(map(fresh_cost(), decomposition._min_degree_bags(adj)), default=-1)
+    assert seed > expected[0]
+    for top in sorted({*range(expected[0] + 1, len(adj) + 2), seed}):
+        assert decomposition._eliminate(adj, fresh_cost(), top) == expected
+        assert decomposition._eliminate(adj, fresh_cost(top), top) == expected
 
 
 def assert_matches_oracle(h):
     for adj, fresh_cost in elimination_cases(h):
-        assert decomposition._eliminate(adj, fresh_cost()) == oracle_eliminate(
-            adj, fresh_cost()
-        )
+        assert decomposition._eliminate(
+            adj, fresh_cost(), top=len(adj) + 1
+        ) == oracle_eliminate(adj, fresh_cost())
+        assert_every_top_matches_oracle(adj, fresh_cost)
 
 
 WIDTH_CORPUS = pathlib.Path(__file__).parents[1] / "perfbench" / "width_corpus.json"
@@ -495,7 +512,28 @@ class TestEliminateMatchesOracle:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         cost = [rng.randint(0, n) for _ in range(1 << n)].__getitem__
-        assert decomposition._eliminate(adj, cost) == oracle_eliminate(adj, cost)
+        assert decomposition._eliminate(adj, cost, top=n + 1) == oracle_eliminate(
+            adj, cost
+        )
+        # the min-degree order is an order, so its cost bounds any optimum
+        assert_every_top_matches_oracle(adj, lambda cap=None: cost)
+
+    def test_min_degree_seed_prunes_grid36(self):
+        # the min-degree order of grid(3,6) is optimal, width 3: seeded one
+        # above it, the DP skips every bag of 5 or more vertices at once
+        adj, _ = next(elimination_cases(grid(3, 6)))
+
+        def run(top):
+            costed = []
+            got = decomposition._eliminate(
+                adj, lambda bag: costed.append(bag) or bag.bit_count(), top
+            )
+            return got, len(costed)
+
+        seed = decomposition._min_degree_width(adj) + 2
+        (full, full_costs), (seeded, seeded_costs) = run(len(adj) + 1), run(seed)
+        assert seed == 5 and full == seeded and full[0] == 4
+        assert (full_costs, seeded_costs) == (11915, 583)
 
     def test_cutoff_prunes_grid44(self):
         # the full DP costs 178,914 bags on grid(4,4); the cutoff skips most
@@ -507,12 +545,42 @@ class TestEliminateMatchesOracle:
             calls += 1
             return bag.bit_count()
 
-        assert decomposition._eliminate(adj, counting)[0] == 5
+        assert decomposition._eliminate(adj, counting, top=len(adj) + 1)[0] == 5
         assert calls < 2**15
 
 
 def min_degree_width(h):
     return decomposition._min_degree_width(_adjacency(*h._index_form[1]))
+
+
+class TestCappedCovers:
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.sets(st.integers(0, n - 1), max_size=4), min_size=1, max_size=8
+                ),
+                st.integers(0, n + 1),
+                st.randoms(use_true_random=False),
+            )
+        )
+    )
+    @settings(max_examples=150)
+    def test_capped_numbers_are_min_of_exact_and_cap(self, case):
+        """Empty and singleton edges allowed, masks read in random order."""
+        edges, cap, rnd = case
+        covered = sorted(set().union(*edges))
+        index = {v: i for i, v in enumerate(covered)}
+        masks = [sum(1 << index[v] for v in e) for e in edges]
+        n = len(covered)
+        exact = decomposition._CoverNumbers(masks, n)
+        capped = decomposition._CappedCovers(masks, n, cap)
+        order = list(range(1 << n))
+        rnd.shuffle(order)
+        for m in order:
+            k = rnd.randint(0, cap)
+            assert capped.fill(m, k) == min(exact[m], k)
+            assert capped[m] == min(exact[m], cap)
 
 
 class TestMinDegreeBound:

@@ -574,7 +574,7 @@ class TestOrbitPruning:
             copy = relabelled(mesh(3, 4), seed)
             keys.clear()
             found = search_dilution(copy, target)
-            assert len(keys) <= 100
+            assert len(keys) <= 50
             assert found == unpruned_search(copy, target)[0]
 
     def test_degree2_corpus_matches_unpruned(self):
