@@ -114,28 +114,24 @@ def _cmd_gen(args) -> int:
     fam = args.family
     witness_text = None
     if fam == "grid":
-        h, names = grid(args.n, args.m), None
+        h = grid(args.n, args.m)
     elif fam == "jigsaw":
-        h, names = jigsaw(args.n, args.m), None
+        h = jigsaw(args.n, args.m)
     elif fam == "mesh":
-        h, names = mesh(args.n, args.m), None
+        h = mesh(args.n, args.m)
     elif fam == "subdivided-jigsaw":
         h, w = subdivided_jigsaw(args.n, args.m, args.k)
-        names = None
         if args.witness_out:
             witness_text = formats.write_prejigsaw(
                 w, formats.auto_edge_names(h), fmt=args.format
             )
     elif fam == "random":
-        h, names = (
-            random_hypergraph(
-                args.nv, args.ne, args.max_degree, args.max_rank, args.seed
-            ),
-            None,
+        h = random_hypergraph(
+            args.nv, args.ne, args.max_degree, args.max_rank, args.seed
         )
     else:  # pragma: no cover - argparse enforces choices
         raise InvalidInputError(f"unknown family {fam}")
-    _emit(formats.write_hypergraph(h, names, fmt=args.format), args.output)
+    _emit(formats.write_hypergraph(h, fmt=args.format), args.output)
     if witness_text is not None:
         _emit(witness_text, args.witness_out)
     return EXIT_OK
@@ -199,22 +195,12 @@ def _cmd_check_dilution(args) -> int:
 
 def _cmd_width(args) -> int:
     h, names = _load_hypergraph(args.hypergraph)
-    if args.kind == "tw":
-        report, witness = exact_treewidth(h, max_vertices=args.max_vertices)
-        print(report.width)
-        if args.witness_out:
-            _emit(
-                formats.write_decomposition(witness, fmt=args.format),
-                args.witness_out,
-            )
-    else:
-        report, witness = exact_ghw(h, max_vertices=args.max_vertices)
-        print(report.width)
-        if args.witness_out:
-            _emit(
-                formats.write_decomposition(witness, names, fmt=args.format),
-                args.witness_out,
-            )
+    oracle = exact_treewidth if args.kind == "tw" else exact_ghw
+    report, witness = oracle(h, max_vertices=args.max_vertices)
+    print(report.width)
+    if args.witness_out:
+        text = formats.write_decomposition(witness, names, fmt=args.format)
+        _emit(text, args.witness_out)
     return EXIT_OK
 
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .decomposition import WidthReport, exact_ghw
+from .decomposition import WidthReport, _min_degree_bags, exact_ghw
 from .errors import ConstructionError, InvalidInputError, LimitExceededError
-from .hypergraph import Hypergraph, edge_key, isomorphic
+from .hypergraph import Hypergraph, _adjacency, edge_key, isomorphic
 from .dilution import DeleteSubedge, DeleteVertex, DilutionSequence, _walk
 
 FRESH_PREFIX = "_fresh_"
@@ -194,22 +194,13 @@ def _elimination_order(scopes) -> list[str]:
 
     Eliminating v replaces the scopes holding v by their union minus v, so
     the neighbourhoods evolve as in the graph elimination game on the primal
-    graph, and no table is needed to plan the order.
+    graph, and no table is needed to plan the order: it is the min-degree
+    order of that graph, with vertices numbered in name order.
     """
-    closed: dict[str, set[str]] = {}
-    for scope in scopes:
-        for v in scope:
-            closed.setdefault(v, set()).update(scope)
-    order = []
-    while closed:
-        v = min(closed, key=lambda w: (len(closed[w]), w))
-        order.append(v)
-        rest = closed.pop(v)
-        rest.discard(v)
-        for w in rest:
-            closed[w] |= rest
-            closed[w].discard(v)
-    return order
+    names = sorted({v for scope in scopes for v in scope})
+    index = {v: i for i, v in enumerate(names)}
+    masks = [sum([1 << index[v] for v in scope]) for scope in scopes]
+    return [names[v] for v in _min_degree_bags(_adjacency(len(names), masks))[0]]
 
 
 def _join(left: _Factor, right: _Factor, drop: str | None = None) -> _Factor:

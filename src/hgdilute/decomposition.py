@@ -139,9 +139,7 @@ def validate_ghd(h: Hypergraph, ghd: GHDecomposition) -> tuple[bool, str | None]
     for n, lam in covers.items():
         for e in lam:
             if e not in h.edges:
-                raise InvalidInputError(
-                    f"cover of {n} references non-edge {sorted(e)}"
-                )
+                return False, f"cover of {n} references non-edge {sorted(e)}"
     ok, why = validate_td(h, ghd.td)
     if not ok:
         return False, why
@@ -257,18 +255,19 @@ def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int
     return width, order, bags
 
 
-def _min_degree_bags(adj: list[int]) -> list[int]:
-    """The bags of the min-degree elimination order, whose largest cost
+def _min_degree_bags(adj: list[int]) -> tuple[list[int], list[int]]:
+    """The min-degree elimination order and its bags, whose largest cost
     bounds the optimum of any bag cost.  Eliminating v turns its remaining
     neighbours into a clique, and its bag is v plus those neighbours, as in
     ``_eliminate``.  Ties go to the lowest index."""
     adj = list(adj)
     left = list(range(len(adj)))
-    bags = []
+    order, bags = [], []
     while left:
         degrees = [adj[v].bit_count() for v in left]
         v = left.pop(degrees.index(min(degrees)))
         around = adj[v]
+        order.append(v)
         bags.append(around | 1 << v)
         rest = around
         while rest:
@@ -276,13 +275,13 @@ def _min_degree_bags(adj: list[int]) -> list[int]:
             rest ^= u
             i = u.bit_length() - 1
             adj[i] = (adj[i] | around) & ~(u | 1 << v)
-    return bags
+    return order, bags
 
 
 def _min_degree_width(adj: list[int]) -> int:
     """Treewidth upper bound: the widest min-degree bag less one, -1 for no
     vertices."""
-    return max(map(int.bit_count, _min_degree_bags(adj)), default=0) - 1
+    return max(map(int.bit_count, _min_degree_bags(adj)[1]), default=0) - 1
 
 
 def _td_from_order(
@@ -479,7 +478,7 @@ def exact_ghw(
     masks = [_mask(index, e) for e in edges]
     adj = _adjacency(len(covered), masks)
     cover = _CappedCovers(masks, len(covered), len(covered) + 1)  # exact
-    top = 1 + max([cover[bag] for bag in _min_degree_bags(adj)])
+    top = 1 + max([cover[bag] for bag in _min_degree_bags(adj)[1]])
     cover.cap = top  # every number read so far lies below it
     width, order, bags = _eliminate(adj, cover.__getitem__, top)
     td = _td_from_order(covered, order, bags)

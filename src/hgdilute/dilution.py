@@ -46,16 +46,16 @@ mask steps of the search are tested against it.
 
 What is reachable depends only on the isomorphism class, so
 ``reachable_dilutions`` sweeps classes and keeps a process-wide memo,
-``_reach_memo``, from a certificate to the class's node (``_ClassNode``),
-capped like the certificate cache at ``_CERT_CACHE_MAX`` entries.  Once a
-class has been expanded its node holds the nodes of its children, so a
-sweep that meets a class another sweep expanded walks node to node and
-hashes no certificate on the way (hash-consing: Filliatre and Conchon,
-*Type-Safe Modular Hash-Consing*, ML Workshop 2006).  A node in the memo
-keeps children only when each of them is in the memo too; a class met
-while the memo is full gets a node for that sweep only.  The budget still
-counts the states the sweep takes from its queue, so answers and least
-budgets do not depend on what the memo holds.
+``_reach_memo``, from a certificate to the class's node (``_ClassNode``).
+A node holds the index form its class was first labelled with and, once
+the class has been expanded, the nodes of its children, so a sweep that
+meets a class another sweep expanded walks node to node and hashes no
+certificate on the way (hash-consing: Filliatre and Conchon, *Type-Safe
+Modular Hash-Consing*, ML Workshop 2006).  The memo follows the cap rule of
+the certificate cache (``hypergraph._make_room``): a sweep that starts with
+it full empties it first, so every node a sweep meets is in the memo.  The
+budget still counts the states the sweep takes from its queue, so answers
+and least budgets do not depend on what the memo holds.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InvalidStepError
 from .hypergraph import (
-    _CERT_CACHE_MAX,
     DEFAULT_ISO_BUDGET,
     Hypergraph,
     IsoWitness,
@@ -75,6 +74,7 @@ from .hypergraph import (
     _canonical_index,
     _circuit_rank,
     _edge_count,
+    _make_room,
     canonical_form,
     edge_key,
     isomorphic,
@@ -85,18 +85,20 @@ DEFAULT_SEARCH_BUDGET = 10**5
 
 class _ClassNode:
     """An isomorphism class that ``reachable_dilutions`` has met: its
-    certificate, and the nodes of all its children once it has been
-    expanded, None before."""
+    certificate, the index form ``(n, edge masks, generators)`` it was
+    first labelled with, and the nodes of all its children once it has
+    been expanded, None before."""
 
-    __slots__ = ("cert", "children")
+    __slots__ = ("cert", "form", "children")
 
-    def __init__(self, cert: tuple):
+    def __init__(self, cert: tuple, form: tuple):
         self.cert = cert
+        self.form = form
         self.children: tuple[_ClassNode, ...] | None = None
 
 
-#: the node of each class ``reachable_dilutions`` has met, while there is
-#: room: certificate -> node.  Children of a node here are all here too.
+#: the node of each class ``reachable_dilutions`` has met: certificate ->
+#: node.  Children of a node here are all here too.
 _reach_memo: dict[tuple, _ClassNode] = {}
 
 
@@ -576,19 +578,11 @@ def search_dilution(
             return None
 
 
-def _class_node(cert: tuple, local: dict) -> _ClassNode:
-    """The node of ``cert``: the memo's, else the sweep's own in ``local``,
-    else a new one, entered in the memo while it has room and in ``local``
-    otherwise."""
+def _class_node(cert: tuple, form: tuple) -> _ClassNode:
+    """The memo's node of ``cert``, entered with ``form`` when it is new."""
     node = _reach_memo.get(cert)
     if node is None:
-        node = local.get(cert)
-        if node is None:
-            node = _ClassNode(cert)
-            if len(_reach_memo) < _CERT_CACHE_MAX:
-                _reach_memo[cert] = node
-            else:
-                local[cert] = node
+        node = _reach_memo[cert] = _ClassNode(cert, form)
     return node
 
 
@@ -597,31 +591,25 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
 
     Exhaustive; used to answer many containment queries against one source in
     a single sweep.  The sweep is breadth-first over class nodes
-    (``_ClassNode``, one per certificate): a certificate is looked up only
-    for the source and for the children of a state being labelled, and
-    ``seen`` and the queue hold nodes, so a node that has its children is
-    walked without hashing a certificate.  A state without them is expanded
-    by ``_children`` and ``_label`` as in ``search_dilution``, with no
-    target and so no cut, from an index form and generators it was labelled
-    with in this sweep, or else from its certificate's own index form.  Once its
-    expansion has finished, the nodes of all its children are written to its
-    node, and a later sweep from any source that meets the node reads them
-    there.  A node in the process-wide, capped ``_reach_memo`` keeps them
-    only when each child is in the memo too: a class met while the memo is
-    full gets a node that lives for this sweep only, and a later sweep must
-    not meet that class under two nodes.  The budget still counts states,
-    one per node taken from the queue, so the result and the least budget
-    that succeeds (the size of the result) are the same whether the memo is
-    warm or cold.
+    (``_ClassNode``, one per certificate, all in ``_reach_memo``): a
+    certificate is looked up only for the source and for the children of a
+    state being labelled, and ``seen`` and the queue hold nodes, so a node
+    that has its children is walked without hashing a certificate.  A node
+    without them is expanded from its own index form by ``_children`` and
+    ``_label`` as in ``search_dilution``, with no target and so no cut, and
+    once that expansion has finished the nodes of its children are written
+    to it for any later sweep to read.  The memo is emptied only when a
+    sweep starts with it full, so a node's children are in the memo too.
+    The budget still counts states, one per node taken from the queue, so
+    the result and the least budget that succeeds (the size of the result)
+    are the same whether the memo is warm or cold.
     """
+    _make_room(_reach_memo)
     n, masks = h_src._index_form[1]
     start, _, gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
-    labelled = {(n, frozenset(masks)): (start, gens)}  # index form -> labelling
-    local: dict[tuple, _ClassNode] = {}  # classes met while the memo was full
-    source = _class_node(start, local)
-    # node -> the index form and generators it was first labelled with in
-    # this sweep
-    forms = {source: (n, frozenset(masks), gens)}
+    edges = frozenset(masks)
+    labelled = {(n, edges): (start, gens)}  # index form -> labelling
+    source = _class_node(start, (n, edges, gens))
     seen = {source}
     queue = deque([source])
     expanded = 0
@@ -634,22 +622,11 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
             )
         children = node.children
         if children is None:
-            form = forms.get(node)
-            if form is None:  # expand the class's own index form
-                cert = node.cert
-                n, masks = cert[0], sorted([sum([1 << i for i in e]) for e in cert[1]])
-                gens = _canonical_index((n, tuple(masks)), DEFAULT_ISO_BUDGET)[2]
-                form = (n, frozenset(masks), gens)
             found = []
-            for _, _, child_n, child_edges in _children(form):
+            for _, _, child_n, child_edges in _children(node.form):
                 c, child_gens = _label(labelled, child_n, child_edges)
-                child = _class_node(c, local)
-                forms.setdefault(child, (child_n, child_edges, child_gens))
-                found.append(child)
-            children = tuple(dict.fromkeys(found))
-            # the memo's nodes hold only nodes of the memo
-            if not local or all([c.cert not in local for c in children]):
-                node.children = children
+                found.append(_class_node(c, (child_n, child_edges, child_gens)))
+            node.children = children = tuple(dict.fromkeys(found))
         for child in children:
             if child not in seen:
                 seen.add(child)

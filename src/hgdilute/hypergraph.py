@@ -36,7 +36,8 @@ The labelling runs in index space: ``_canonical_index`` labels vertices
 ``0..n-1`` whose edges are a sorted tuple of int masks, the *index form* a
 hypergraph gets by numbering its vertices in name order.  ``_cert_cache``
 is keyed on that form, so every hypergraph equal to another up to an
-order-preserving renaming shares its entry.  ``canonical_form``,
+order-preserving renaming shares its entry; like every process-wide memo it
+is emptied when full (``_make_room``).  ``canonical_form``,
 ``_canonical`` and ``isomorphic`` are thin wrappers that build the index form
 of a named hypergraph and carry labellings and automorphisms back to names;
 search code that keeps its states as masks calls the core directly.
@@ -350,9 +351,19 @@ class IsoWitness:
         return frozenset(frozenset(m[v] for v in e) for e in h1.edges) == h2.edges
 
 
-#: canonical labellings of index forms: ``(n, masks)`` -> ``_canonical_index``
+#: canonical labellings of index forms: ``(n, masks)`` -> ``_canonical_index``,
+#: emptied before an insert when full
 _cert_cache: dict[tuple, tuple] = {}
 _CERT_CACHE_MAX = 1 << 18
+
+
+def _make_room(memo: dict) -> None:
+    """The cap rule of the process-wide memos, this module's ``_cert_cache``
+    and ``dilution._reach_memo``: a memo holding ``_CERT_CACHE_MAX`` entries
+    is full, and a full memo is emptied, so it keeps serving recent work
+    instead of freezing on old entries."""
+    if len(memo) >= _CERT_CACHE_MAX:
+        memo.clear()
 
 
 def canonical_form(h: Hypergraph, budget: int = DEFAULT_ISO_BUDGET):
@@ -415,6 +426,7 @@ def _canonical_index(key: tuple, budget: int):
     edges = [_bits(m) for m in masks]
     if n == 0:
         result = ((0, tuple(tuple(e) for e in edges)), (), ())
+        _make_room(_cert_cache)
         _cert_cache[key] = result
         return result
     inc: list[list[int]] = [[] for _ in range(n)]  # the edges at each vertex
@@ -556,8 +568,8 @@ def _canonical_index(key: tuple, budget: int):
         profiles.setdefault(tuple(sorted(at)), []).append(v)
     descend([profiles[p] for p in sorted(profiles)], [])
     result = ((n, best[0]), tuple(best[1]), tuple(tuple(g) for g in gens))
-    if len(_cert_cache) < _CERT_CACHE_MAX:
-        _cert_cache[key] = result
+    _make_room(_cert_cache)
+    _cert_cache[key] = result
     return result
 
 

@@ -27,7 +27,7 @@ def empty_cert_cache(monkeypatch):
     a refinement budget it pins is charged in full (a cache hit never charges
     the budget) and a reachability sweep labels every state it meets instead
     of reading its children from the class nodes of an earlier sweep.  A
-    sweep keeps no other state between calls: nodes of classes met while the
-    memo is full live for one sweep only."""
+    sweep keeps no other state between calls: every class node it makes,
+    with the index form it expands, lives in the memo."""
     monkeypatch.setattr(hypergraph, "_cert_cache", {})
     monkeypatch.setattr(dilution, "_reach_memo", {})

@@ -111,11 +111,20 @@ class TestValidators:
         twice = GHDecomposition(td, (("t1", frozenset([frozenset("xy")])),) + good.covers)
         assert validate_ghd(h, twice) == (False, "covers do not match node set")
 
-    def test_ghd_nonedge_cover_raises(self):
+    def test_ghd_nonedge_cover_is_a_violation(self):
         h = H("ab")
         ghd = GHDecomposition(one_bag(h), (("t1", frozenset([frozenset("xy")])),))
-        with pytest.raises(InvalidInputError):
-            validate_ghd(h, ghd)
+        assert validate_ghd(h, ghd) == (False, "cover of t1 references non-edge ['x', 'y']")
+        # a witness of the exact oracle with one cover edge swapped for a
+        # non-edge that still covers the bag
+        h = jigsaw(2, 2)
+        ghd = exact_ghw(h)[1]
+        node, lam = ghd.covers[0]
+        wider = frozenset(h.vertices)
+        assert wider not in h.edges
+        swapped = ((node, lam - {min(lam, key=edge_key)} | {wider}),) + ghd.covers[1:]
+        ok, why = validate_ghd(h, GHDecomposition(ghd.td, swapped))
+        assert not ok and why.startswith(f"cover of {node} references non-edge")
 
 
 def min_max_over_permutations(vertices, edges, cost):
@@ -442,7 +451,7 @@ def assert_every_top_matches_oracle(adj, fresh_cost):
     the min-degree order plus one, keep the full DP's width, order and
     bags, on the cost and on the cost capped at the cutoff."""
     expected = oracle_eliminate(adj, fresh_cost())
-    seed = 1 + max(map(fresh_cost(), decomposition._min_degree_bags(adj)), default=-1)
+    seed = 1 + max(map(fresh_cost(), decomposition._min_degree_bags(adj)[1]), default=-1)
     assert seed > expected[0]
     for top in sorted({*range(expected[0] + 1, len(adj) + 2), seed}):
         assert decomposition._eliminate(adj, fresh_cost(), top) == expected

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgdilute.acceptance import _connected_graphs_upto, _degree2_corpus
-from hgdilute import dilution
+from hgdilute import dilution, hypergraph
 from hgdilute.dilution import (
     DeleteSubedge,
     DeleteVertex,
@@ -35,6 +35,7 @@ from hgdilute.hypergraph import (
     Hypergraph,
     _bits,
     _canonical,
+    _canonical_index,
     canonical_form,
     components,
     dual,
@@ -639,11 +640,12 @@ class TestCuts:
 
 @contextmanager
 def fresh_memo(cap=None):
-    """An empty reachability memo, capped at ``cap`` entries when given."""
+    """An empty reachability memo, with the process-wide memos capped at
+    ``cap`` entries when given."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dilution, "_reach_memo", {})
         if cap is not None:
-            mp.setattr(dilution, "_CERT_CACHE_MAX", cap)
+            mp.setattr(hypergraph, "_CERT_CACHE_MAX", cap)
         yield mp
 
 
@@ -656,11 +658,15 @@ def assert_reach(h, reach):
 
 
 def assert_memo_closed():
-    """Each node in the memo is filed under its own certificate, and a node
+    """Each node in the memo is filed under its own certificate, its form
+    labels to that certificate with the generators it keeps, and a node
     that holds children holds only nodes of the memo."""
     memo = dilution._reach_memo
     for cert, node in memo.items():
         assert node.cert == cert
+        n, edges, gens = node.form
+        form_cert, _, form_gens = _canonical_index((n, tuple(sorted(edges))), 10**6)
+        assert (form_cert, form_gens) == (cert, gens)
         for child in node.children or ():
             assert memo.get(child.cert) is child
 
@@ -731,15 +737,21 @@ class TestReachMemo:
         for seed in (seed_a, seed_b):
             hosts.append(random_valid_sequence(h, random.Random(seed), max_steps=3)[1])
         reach = [unpruned_reachable(x) for x in hosts]
-        # the last cap is half the first host's classes, so it fills while
-        # the first sweep runs
+        # the last cap is half the first host's classes, so the first sweep
+        # leaves the memo full
         for cap in (None, 0, 2, max(1, len(reach[0]) // 2)):
             with fresh_memo(cap):
                 for x, r in zip(hosts, reach):
+                    # a sweep that starts with the memo full empties it
+                    # first, none empties it while it runs, and both sweeps
+                    # of ``assert_reach`` meet every class of r
+                    memo = set(dilution._reach_memo)
+                    for _ in range(2):
+                        full = cap is not None and len(memo) >= cap
+                        memo = (set() if full else memo) | r
                     assert_reach(x, r)
                     assert_memo_closed()
-                    if cap is not None and x is h:
-                        assert len(dilution._reach_memo) == min(cap, len(r))
+                    assert set(dilution._reach_memo) == memo
 
 
 class TestLabels:

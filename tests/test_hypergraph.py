@@ -598,6 +598,16 @@ class TestCanonicalLabelling:
             assert canonical_form(same, budget=0) is cert
         assert len(hypergraph._cert_cache) == 1
 
+    @pytest.mark.usefixtures("empty_cert_cache")
+    def test_full_cache_is_emptied_not_frozen(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "_CERT_CACHE_MAX", 2)
+        # the vertexless form is cached, and emptied, like any other
+        forms = [H(), H("ab"), H("ab", "bc"), H(), H("ab", "bc", "ca")]
+        expected = [{0}, {0, 1}, {2}, {2, 3}, {4}]  # full at two entries
+        for h, kept in zip(forms, expected):
+            canonical_form(h)
+            assert set(hypergraph._cert_cache) == {forms[i]._index_form[1] for i in kept}
+
     def test_generators_of_symmetric_hosts_are_automorphisms(self):
         for h in (mesh(4, 4), dual(mesh(4, 5)), jigsaw(3, 4), grid(4, 4)):
             _, _, gens = _canonical(h, 10**6)
