@@ -64,18 +64,17 @@ class TreeDecomposition:
         """None when the node/parent structure is a rooted tree."""
         if not self.nodes:
             return "decomposition has no nodes"
-        if len(set(self.nodes)) != len(self.nodes):
+        nodes = set(self.nodes)
+        if len(nodes) != len(self.nodes):
             return "duplicate node names"
         parent = self.parent_of()
-        if set(parent) != set(self.nodes) or {n for n, _ in self.bags} != set(
-            self.nodes
-        ):
+        if set(parent) != nodes or {n for n, _ in self.bags} != nodes:
             return "parents/bags do not cover exactly the node set"
         roots = [n for n in self.nodes if parent[n] is None]
         if len(roots) != 1:
             return "decomposition must have exactly one root"
         for n in self.nodes:
-            if parent[n] is not None and parent[n] not in set(self.nodes):
+            if parent[n] is not None and parent[n] not in nodes:
                 return f"unknown parent for node {n}"
         seen: set[str] = set()
         for n in self.nodes:
@@ -97,9 +96,6 @@ class GHDecomposition:
 
     def cover_of(self) -> dict[str, frozenset[frozenset[str]]]:
         return dict(self.covers)
-
-    def width(self) -> int:
-        return max((len(c) for _, c in self.covers), default=0)
 
 
 @dataclass(frozen=True)

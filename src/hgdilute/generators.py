@@ -34,14 +34,7 @@ def grid(n: int, m: int) -> Hypergraph:
     if n < 1 or m < 1:
         raise InvalidInputError("grid dimensions must be at least 1")
     vertices = {f"x{i}_{j}" for i in range(1, n + 1) for j in range(1, m + 1)}
-    edges = set()
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if j < m:
-                edges.add(frozenset({f"x{i}_{j}", f"x{i}_{j + 1}"}))
-            if i < n:
-                edges.add(frozenset({f"x{i}_{j}", f"x{i + 1}_{j}"}))
-    return Hypergraph(frozenset(vertices), frozenset(edges))
+    return Hypergraph(frozenset(vertices), frozenset(_grid_edge_names(n, m).values()))
 
 
 def _grid_edge_names(n: int, m: int) -> dict[str, frozenset]:

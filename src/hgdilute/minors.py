@@ -37,9 +37,8 @@ sweep, then share one host plan, and each pattern is prepared once.
 
 ``jigsaw_from_grid_minor`` turns a minor of any connected pattern graph g in
 the dual of a degree-2 hypergraph into an explicit dilution sequence onto
-the dual of g (a jigsaw when g is a grid), by merging each branch set's edge
-region along a spanning set of interior degree-2 vertices and then
-restricting to the junction vertices shared between adjacent regions.
+the dual of g (a jigsaw when g is a grid): each branch set's edge region is
+collapsed, keeping the junction vertices shared between adjacent regions.
 ``minor_from_dilution`` goes the other way, reading the branch sets off the
 edge-provenance labels of a verified sequence.  ``decide_dilution`` puts the
 two halves of the paper's degree-2 lemma to work: on a host of degree at
@@ -50,7 +49,11 @@ Expressive minor maps add an injective edge assignment whose inter-edge
 connectivity avoids all assigned edges; dualizing one produces a pre-jigsaw
 witness: a corner embedding of a jigsaw plus disjoint edge regions whose
 internal paths realize each jigsaw edge.  Degree-2 pre-jigsaws collapse back
-onto the jigsaw by merging each region.
+onto the jigsaw, keeping the corners.
+
+Both constructions end in one collapse (``_collapse``): merge each edge
+region along a spanning set of its interior degree-2 vertices, drop the
+empty edge this may leave, and delete every vertex but the kept ones.
 """
 
 from __future__ import annotations
@@ -547,34 +550,18 @@ def jigsaw_from_grid_minor(
         u: frozenset(name_to_edge[x] for x in images[u]) for u in g.vertices
     }
 
-    inc = h_red._incidence
+    # on a degree-2 host a vertex joins the regions of u and v exactly when
+    # the owners of its (at most two) edges are u and v
+    owner = {e: u for u, r in region.items() for e in r}
     junction: dict[frozenset, str] = {}
-    junctions_of: dict[str, set[str]] = {u: set() for u in g.vertices}
+    for w in sorted(h_red.vertices):
+        junction.setdefault(frozenset(owner[e] for e in h_red._incidence[w]), w)
     for ge in sorted(g.edges, key=edge_key):
-        u, v = sorted(ge)
-        cands = sorted(
-            w
-            for w in h_red.vertices
-            if any(e in region[u] for e in inc[w])
-            and any(e in region[v] for e in inc[w])
-        )
-        if not cands:
+        if ge not in junction:
+            u, v = sorted(ge)
             raise ConstructionError(f"no junction vertex for pattern edge {u}-{v}")
-        junction[ge] = cands[0]
-        junctions_of[u].add(cands[0])
-        junctions_of[v].add(cands[0])
-    kept = set(junction.values())
-
-    steps: list = []
-    for u in sorted(g.vertices):
-        spine = _region_merge_spine(h_red, region[u], protected=set())
-        if set(spine) & kept:
-            raise ConstructionError(
-                "merge spine would consume a junction vertex"
-            )
-        steps.extend(MergeOn(w) for w in spine)
-    cur = apply_sequence(h_red, DilutionSequence(tuple(steps)))
-    steps.extend(DeleteVertex(v) for v in sorted(cur.vertices - kept))
+    kept = {junction[ge] for ge in g.edges}
+    steps = _collapse(h_red, [region[u] for u in sorted(g.vertices)], kept)
     seq = seq0.then(steps)
     ok, _ = verify_dilution(h, seq, dual(g))
     if not ok:
@@ -615,7 +602,8 @@ def decide_dilution(
     if h.max_degree() <= 2:
         g = _dual_graph(t)
         if g is not None:
-            return _dilution_by_minor(h, g, t, budget)
+            found = _dilution_by_minor(h, g, t, budget)
+            return None if found is None else found[0]
     return search_dilution(h, t, budget=budget)
 
 
@@ -644,7 +632,10 @@ def minor_piece(
 
 def _dilution_by_minor(
     h: Hypergraph, g: Hypergraph, t: Hypergraph, budget: int
-) -> DilutionSequence | None:
+) -> tuple[DilutionSequence, MinorMap] | None:
+    """A sequence from degree-2 h onto t, the dual of connected g, verified
+    from h, and the onto minor map of g it was built from; None when g is no
+    minor of the dual of the reduced h."""
     found = minor_piece(h, g, budget)
     if found is None:
         return None
@@ -653,7 +644,7 @@ def _dilution_by_minor(
     ok, _ = verify_dilution(h, seq, t)
     if not ok:
         raise ConstructionError("minor route does not reach the target")
-    return seq
+    return seq, mm
 
 
 def minor_from_dilution(
@@ -728,18 +719,6 @@ class ExpressiveMinorMap:
         )
 
 
-def _edges_linked_avoiding(
-    host: Hypergraph, a: frozenset, b: frozenset, marked: frozenset
-) -> bool:
-    """Whether edges a and b touch or connect via unmarked-edge paths."""
-    names, (n, masks) = host._index_form
-    index = {x: i for i, x in enumerate(names)}
-    ma, mb = _mask(index, a), _mask(index, b)
-    kept = set(masks) - {_mask(index, e) for e in marked} | {ma, mb}
-    pieces = _mask_components(_adjacency(n, kept), (1 << n) - 1)
-    return any(p & ma and p & mb for p in pieces)
-
-
 def validate_expressive_minor(
     g: Hypergraph, host: Hypergraph, emm: ExpressiveMinorMap
 ) -> tuple[bool, str | None]:
@@ -760,13 +739,20 @@ def validate_expressive_minor(
         u, v = sorted(e)
         if not _edge_connects(rho[e], images[u], images[v]):
             return False, f"assigned edge for {u}-{v} does not connect the branch sets"
-    marked = frozenset(values)
+    # assigned edges a and b touch or link avoiding the other assigned edges
+    # iff one component of the unassigned edges (isolated vertices count)
+    # meets both: a path from a to b leaves a for the last time and enters
+    # b for the first time through unassigned edges only
+    names, (n, masks) = host._index_form
+    index = {x: i for i, x in enumerate(names)}
+    assigned = {e: _mask(index, f) for e, f in rho.items()}
+    free = set(masks) - set(assigned.values())
+    pieces = _mask_components(_adjacency(n, free), (1 << n) - 1)
     glist = sorted(g.edges, key=edge_key)
     for i, e1 in enumerate(glist):
         for e2 in glist[i + 1 :]:
-            if not (e1 & e2):
-                continue
-            if not _edges_linked_avoiding(host, rho[e1], rho[e2], marked):
+            a, b = assigned[e1], assigned[e2]
+            if e1 & e2 and not any(p & a and p & b for p in pieces):
                 return (
                     False,
                     f"assigned edges of incident pattern edges "
@@ -884,14 +870,24 @@ def validate_prejigsaw(
 def _apply_dropping_empty_edge(h: Hypergraph, steps: list) -> Hypergraph:
     """Apply steps to h, then delete the empty edge they leave, if any.
 
-    The deletion is appended to ``steps``; like any subedge deletion it fails
-    when the empty edge is the only edge left.
+    The deletion is appended to ``steps``.  An empty edge that is the only
+    edge left is no subedge and stays.
     """
     cur = apply_sequence(h, DilutionSequence(tuple(steps)))
-    if frozenset() in cur.edges:
+    if frozenset() in cur.edges and len(cur.edges) > 1:
         steps.append(DeleteSubedge(frozenset()))
         cur = delete_subedge(cur, frozenset())
     return cur
+
+
+def _collapse(h: Hypergraph, regions, kept: set[str]) -> list:
+    """Steps that merge each edge region of h along its spine, in the given
+    order, drop the empty edge this leaves, and delete every vertex of h
+    outside kept.  The spines avoid kept."""
+    steps = [MergeOn(w) for r in regions for w in _region_merge_spine(h, r, kept)]
+    cur = _apply_dropping_empty_edge(h, steps)
+    steps.extend(DeleteVertex(v) for v in sorted(cur.vertices - kept))
+    return steps
 
 
 def prejigsaw_to_jigsaw(h: Hypergraph, witness: PreJigsawWitness) -> DilutionSequence:
@@ -904,17 +900,9 @@ def prejigsaw_to_jigsaw(h: Hypergraph, witness: PreJigsawWitness) -> DilutionSeq
         raise InvalidInputError(f"witness invalid: {report.reason}")
     if not report.pi_injective:
         raise InvalidInputError("corner map must be injective to collapse")
-    pi_image = set(witness.corner_dict().values())
     groups = witness.group_dict()
-    steps: list = []
-    for je in sorted(groups, key=edge_key):
-        region = frozenset(e for e in groups[je] if e)
-        if len(region) <= 1:
-            continue
-        spine = _region_merge_spine(h, region, protected=pi_image)
-        steps.extend(MergeOn(w) for w in spine)
-    cur = _apply_dropping_empty_edge(h, steps)
-    steps.extend(DeleteVertex(v) for v in sorted(cur.vertices - pi_image))
+    regions = [groups[je] for je in sorted(groups, key=edge_key)]
+    steps = _collapse(h, regions, set(witness.corner_dict().values()))
     seq = DilutionSequence.for_source(h, steps)
     ok, _ = verify_dilution(h, seq, jigsaw(n, m))
     if not ok:

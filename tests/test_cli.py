@@ -10,6 +10,7 @@ import hgdilute
 
 from hgdilute.cli import main
 from hgdilute.cq import evaluate, project
+from hgdilute.dilution import DEFAULT_SEARCH_BUDGET
 from hgdilute.formats import (
     parse_database,
     parse_hypergraph,
@@ -18,8 +19,11 @@ from hgdilute.formats import (
     parse_sequence,
     parse_solutions,
     write_hypergraph,
+    write_minor_map,
+    write_sequence,
 )
-from hgdilute.generators import jigsaw, mesh
+from hgdilute.generators import grid, jigsaw, mesh
+from hgdilute.minors import decide_dilution, minor_piece
 from hgdilute.hypergraph import Hypergraph, isomorphic
 
 
@@ -299,6 +303,21 @@ class TestExtractCommands:
              "--witness-out", str(wit_out)]
         ) == 0
         assert "dims 2 2" in wit_out.read_text()
+
+    @pytest.mark.parametrize("host", ["mesh66", "two_meshes"])
+    def test_jigsaw_extract_is_the_decided_route(self, tmp_path, host, request):
+        # the written sequence is check-dilution's route, verified from the
+        # input host; the witness is the onto map of the model's piece
+        src = request.getfixturevalue(host)
+        h, _ = parse_hypergraph(src.read_text())
+        seq_out, wit_out = tmp_path / "seq.dseq", tmp_path / "map.wit"
+        assert main(
+            ["jigsaw-extract", str(src), "-n", "2", "--seq-out", str(seq_out),
+             "--witness-out", str(wit_out)]
+        ) == 0
+        assert seq_out.read_text() == write_sequence(decide_dilution(h, jigsaw(2, 2)))
+        _, _, mm = minor_piece(h, grid(2, 2), DEFAULT_SEARCH_BUDGET)
+        assert wit_out.read_text() == write_minor_map(mm)
 
 
 class TestCqCommands:

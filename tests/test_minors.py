@@ -19,12 +19,13 @@ from hgdilute.dilution import (
     verify_dilution,
 )
 from hgdilute.errors import BudgetExceededError, ConstructionError, InvalidInputError
-from hgdilute.generators import grid, jigsaw, mesh, subdivided_jigsaw
+from hgdilute.generators import grid, jigsaw, mesh, random_hypergraph, subdivided_jigsaw
 from hgdilute.hypergraph import (
     Hypergraph,
     _adjacency,
     _circuit_rank,
     _edge_count,
+    _mask,
     _mask_components,
     canonical_form,
     dual,
@@ -864,6 +865,15 @@ class TestJigsawExtraction:
         with pytest.raises(InvalidInputError):
             jigsaw_from_grid_minor(h, grid(2, 2), MinorMap.of({}))
 
+    def test_lone_empty_edge_stays(self):
+        # the host {()} is the dual of the one-vertex pattern: nothing to
+        # collapse, and its empty edge, the only edge, is no subedge to drop
+        h, x = H(""), Hypergraph(frozenset({"x"}), frozenset())
+        d, _ = dual_with_map(h)
+        assert jigsaw_from_grid_minor(h, x, MinorMap.of({"x": d.vertices})).steps == ()
+        seq, piece, mm = minors.minor_piece(h, x, 10)
+        assert (seq.steps, piece, mm) == ((), h, MinorMap.of({"x": d.vertices}))
+
 
 class TestDegenerateDualCollapse:
     def test_two_vertex_pattern_dual_collapses(self):
@@ -904,7 +914,68 @@ class TestMinorFromDilution:
         assert ok, why
 
 
+def _edges_linked_avoiding(
+    host: Hypergraph, a: frozenset, b: frozenset, marked: frozenset
+) -> bool:
+    """Reference: whether edges a and b touch or connect via unmarked-edge
+    paths, read off the components of the unmarked edges plus a and b."""
+    names, (n, masks) = host._index_form
+    index = {x: i for i, x in enumerate(names)}
+    ma, mb = _mask(index, a), _mask(index, b)
+    kept = set(masks) - {_mask(index, e) for e in marked} | {ma, mb}
+    pieces = _mask_components(_adjacency(n, kept), (1 << n) - 1)
+    return any(p & ma and p & mb for p in pieces)
+
+
 class TestExpressiveMinors:
+    def test_link_rule_matches_reference(self):
+        # random rank-3/4 hosts; every injective assignment of connecting
+        # edges (up to 30 per model) is judged by the reference, pair by pair
+        rng = random.Random(5)
+        patterns = [H("ab", "bc", "ca"), H("ab", "ac", "ad"), H("ab", "bc", "cd", "da"),
+                    H("ab", "bc", "cd", "da", "ac")]
+        checked = blocked = 0
+        for seed in range(300):
+            nv = rng.randint(5, 9)
+            try:
+                host = random_hypergraph(
+                    nv, rng.randint(nv - 1, nv + 2), rng.choice([2, 3]),
+                    rng.choice([3, 4]), seed=seed,
+                )
+            except InvalidInputError:
+                continue
+            for g in patterns:
+                mm = find_minor(g, host)
+                if mm is None:
+                    continue
+                mm = extend_to_onto(g, host, mm)
+                images = mm.as_dict()
+                gl = sorted(g.edges, key=edge_key)
+                cands = [
+                    [f for f in sorted(host.edges, key=edge_key)
+                     if minors._edge_connects(f, *(images[x] for x in sorted(e)))]
+                    for e in gl
+                ]
+                for combo in itertools.islice(itertools.product(*cands), 30):
+                    if len(set(combo)) < len(combo):
+                        continue
+                    rho, marked = dict(zip(gl, combo)), frozenset(combo)
+                    expected = (True, None)
+                    for e1, e2 in itertools.combinations(gl, 2):
+                        a, b = rho[e1], rho[e2]
+                        if e1 & e2 and not _edges_linked_avoiding(host, a, b, marked):
+                            expected = (
+                                False,
+                                f"assigned edges of incident pattern edges {sorted(e1)}/"
+                                f"{sorted(e2)} only connect through assigned edges",
+                            )
+                            break
+                    emm = ExpressiveMinorMap.of(mm, rho)
+                    assert validate_expressive_minor(g, host, emm) == expected
+                    checked += 1
+                    blocked += not expected[0]
+        assert checked >= 1000 and blocked >= 10, (checked, blocked)
+
     def test_rank2_minor_is_expressive(self):
         host = grid(3, 3)
         mm = find_minor(grid(2, 2), host)
