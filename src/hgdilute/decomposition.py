@@ -22,14 +22,14 @@ empty set with a cutoff at the best order found so far, memoised in dicts, so
 a set that cannot beat that order is never expanded: most inputs visit a few
 percent of the 2^n sets, and the recursion is at most one frame per vertex
 deep; the first cutoff is one above the min-degree order's cost (Gogate and
-Dechter, UAI 2004).  An elimination bag is a flood through the eliminated
-set whose every step is three table lookups.  The cover number of a bag
-mask is memoised per mask and filled under the same cutoff, and each
-witness cover is read off that memo: the edges are walked in ``edge_key``
-order and an edge is kept when it meets what is left of the bag and lowers
-its cover number by one, which yields the lexicographically-first minimum
-cover.  ``min_edge_cover`` reads an exact memo of its own.  Ties go to the
-smallest vertex name, so the witness is a function of the input alone.  In
+Dechter, UAI 2004).  A set's elimination bags are its parent's after one step
+of the elimination game, the step the min-degree order plays too.  The cover
+number of a bag mask is memoised per mask and filled under the same cutoff,
+and each witness cover is read off that memo: the edges are walked in
+``edge_key`` order and an edge is kept when it meets what is left of the bag
+and lowers its cover number by one, which yields the lexicographically-first
+minimum cover.  ``min_edge_cover`` reads an exact memo of its own.  Ties go to
+the smallest vertex name, so the witness is a function of the input alone.  In
 the worst case time and memory still grow as 2^n in the covered vertices,
 hence the hard input limits; the number of edges needs no limit of its own.
 """
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .dilution import MergeOn, _step
 from .errors import ConstructionError, InvalidInputError, LimitExceededError
-from .hypergraph import Hypergraph, _adjacency, _mask, dual_with_map, edge_key
+from .hypergraph import Hypergraph, _adjacency, _bits, _mask, dual_with_map, edge_key
 
 DEFAULT_TW_VERTEX_LIMIT = 16
 DEFAULT_GHW_VERTEX_LIMIT = 18
@@ -78,12 +78,12 @@ class TreeDecomposition:
                 return f"unknown parent for node {n}"
         seen: set[str] = set()
         for n in self.nodes:
-            trail = []
+            trail: set[str] = set()
             x: str | None = n
             while x is not None and x not in seen:
                 if x in trail:
                     return "cycle in parent links"
-                trail.append(x)
+                trail.add(x)
                 x = parent[x]
             seen.update(trail)
         return None
@@ -106,24 +106,32 @@ class WidthReport:
 
 
 def validate_td(h: Hypergraph, td: TreeDecomposition) -> tuple[bool, str | None]:
-    """Both decomposition conditions; returns the first violation found."""
-    err = td.tree_error()
-    if err:
+    """Both decomposition conditions on ``h._index_form`` masks; returns the
+    first violation found.  A vertex's nodes are connected iff it has one
+    topmost node, so the masks ``bag & ~parent_bag`` must be disjoint."""
+    if err := td.tree_error():
         return False, err
-    bags = td.bag_of()
-    for n, b in bags.items():
+    names, (_, edges) = h._index_form
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    masks = {}
+    for n, b in td.bag_of().items():
         if not b <= h.vertices:
             return False, f"bag of {n} contains non-vertices"
-    for e in sorted(h.edges, key=edge_key):
-        if not any(e <= b for b in bags.values()):
-            return False, f"edge {sorted(e)} not contained in any bag"
-    # in a rooted tree each connected part of a node set has exactly one
-    # topmost node, the one whose parent lies outside the set
-    parent = td.parent_of()
-    for v in sorted(h.vertices):
-        nodes_with = {n for n, b in bags.items() if v in b}
-        if sum(parent[n] not in nodes_with for n in nodes_with) > 1:
-            return False, f"occurrences of vertex {v} are not connected"
+        masks[n] = sum(map(bit.__getitem__, b))
+    missed = list(edges)
+    for b in set(masks.values()):
+        missed = [e for e in missed if e & ~b]
+    if missed:
+        first = min(([names[i] for i in _bits(e)] for e in missed), key=edge_key)
+        return False, f"edge {first} not contained in any bag"
+    seen = twice = 0
+    for n, p in td.parent_of().items():
+        top = masks[n] & ~masks.get(p, 0)
+        twice |= seen & top
+        seen |= top
+    if twice:
+        v = names[(twice & -twice).bit_length() - 1]
+        return False, f"occurrences of vertex {v} are not connected"
     return True, None
 
 
@@ -160,13 +168,17 @@ def ghd_width(ghd: GHDecomposition) -> WidthReport:
 # -- elimination-order dynamic program ---------------------------------------
 
 
-def _union_table(block: list[int]) -> list[int]:
-    """Union of the block's masks for every sub-mask x of the block."""
-    table = [0] * (1 << len(block))
-    for x in range(1, len(table)):
-        bit = x & -x
-        table[x] = table[x ^ bit] | block[bit.bit_length() - 1]
-    return table
+def _eliminate_vertex(bags: list[int], b: int) -> None:
+    """One step of the elimination game on the closed neighbourhoods
+    ``bags``, in place: the vertex of bit b goes, and the bag of each vertex
+    left in b's bag becomes ``(bag | rest) & ~b``, where rest is b's bag
+    less b.  Bags of vertices gone earlier go stale and are never read."""
+    rest = around = bags[b.bit_length() - 1] ^ b
+    while around:
+        u = around & -around
+        around ^= u
+        i = u.bit_length() - 1
+        bags[i] = bags[i] ^ b | rest
 
 
 def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int]]:
@@ -174,59 +186,49 @@ def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int
 
     best[P] is the least max bag cost of eliminating the rest once the set P
     is gone: the least over v outside P of max(cost of v's bag, best[P | v]).
-    The bag of v after P is v plus the vertices outside P that v reaches
-    through P.  The recurrence is evaluated top down from P = 0 and memoised:
-    ``solve(P, k)`` returns best[P] when it is below the cutoff k, and k
-    otherwise, when it records k as a lower bound for P.  Vertices are tried
-    in index order; one whose bag alone costs the running value is skipped,
-    the rest recurse with the running value as the cutoff, and only a
-    strictly smaller cost replaces the running choice.  So whenever best[P]
-    is below the cutoff, the choice kept for P is the least (cost, index),
-    the one a fill of all 2^n sets keeps, and a set that cannot beat the
-    best order found so far is never expanded.  The root cutoff ``top`` lies
-    above the optimum (the callers pass the min-degree order's cost plus
-    one), so best[0] is exact, and so is best at each set the kept choices
-    lead to; the order follows them from P = 0, the same for every such
-    ``top``.  A cost of ``top`` or more only needs to be at least ``top``.
-    The recursion is at most n + 1 frames deep.  The worst case still visits
-    all 2^n sets.  Returns the width, the order and the order's bags.
+    The bag of v after P is v's closed neighbourhood once the elimination
+    game has removed P; ``solve(P, k, bags, gone)`` plays the step ``gone``
+    on a copy of its parent's bags, only after its memo lookups miss.  The
+    recurrence is evaluated top down from P = 0 and memoised: ``solve``
+    returns best[P] when it is below the cutoff k, and k otherwise, when it
+    records k as a lower bound for P.  Vertices are tried in index order; one
+    whose bag alone costs the running value is skipped, the rest recurse
+    with the running value as the cutoff, and only a strictly smaller cost
+    replaces the running choice.  So whenever best[P] is below the cutoff,
+    the choice kept for P is the least (cost, index), the one a fill of all
+    2^n sets keeps, and a set that cannot beat the best order found so far is
+    never expanded.  The root cutoff ``top`` lies above the optimum (the
+    callers pass the min-degree order's cost plus one), so best[0] is exact,
+    and so is best at each set the kept choices lead to; the order follows
+    them from P = 0, the same for every such ``top``.  A cost of ``top`` or
+    more only needs to be at least ``top``.  The recursion is at most n + 1
+    frames deep.  The worst case still visits all 2^n sets.  Returns the
+    width, the order and the order's bags.
     """
     n = len(adj)
     full = (1 << n) - 1
-    # the union of adj over a mask is three lookups, one per block of at
-    # most w vertex indices
-    w = max(1, -(-n // 3))
-    w2, low = 2 * w, (1 << w) - 1
-    t0, t1, t2 = (_union_table(adj[lo : lo + w]) for lo in (0, w, w2))
     bits = [(v, 1 << v) for v in range(n)]
     best = {full: -1}  # exact values
     floor: dict[int, int] = {}  # best[P] >= floor[P]
     pick: dict[int, tuple[int, int]] = {}  # the kept (vertex, bag) at P
 
-    def solve(P: int, k: int) -> int:
+    def solve(P: int, k: int, bags: list[int], gone: int) -> int:
         if P in best:
             return min(best[P], k)
         if floor.get(P, 0) >= k:
             return k
+        if gone:
+            bags = bags.copy()
+            _eliminate_vertex(bags, gone)
         value = k
         for v, b in bits:
             if P & b:
                 continue
-            bag = adj[v]
-            reach = bag & P
-            if reach:
-                while True:
-                    around = t0[reach & low] | t1[reach >> w & low] | t2[reach >> w2]
-                    grown = reach | around & P
-                    if grown == reach:
-                        break
-                    reach = grown
-                bag = (bag | around) & ~P
-            bag |= b
+            bag = bags[v]
             c = cost(bag)
             if c >= value:
                 continue
-            after = solve(P | b, value)
+            after = solve(P | b, value, bags, b)
             if c < after:
                 c = after
             if c < value:
@@ -238,10 +240,9 @@ def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int
             floor[P] = k
         return value
 
-    width = solve(0, top)
+    width = solve(0, top, [a | 1 << v for v, a in enumerate(adj)], 0)
     del solve  # the closure refers to itself; drop the cycle with the memo
-    order: list[int] = []
-    bags: list[int] = []
+    order, bags = [], []
     P = 0
     while P != full:
         v, bag = pick[P]
@@ -253,25 +254,19 @@ def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int
 
 def _min_degree_bags(adj: list[int]) -> tuple[list[int], list[int]]:
     """The min-degree elimination order and its bags, whose largest cost
-    bounds the optimum of any bag cost.  Eliminating v turns its remaining
-    neighbours into a clique, and its bag is v plus those neighbours, as in
-    ``_eliminate``.  Ties go to the lowest index."""
-    adj = list(adj)
+    bounds the optimum of any bag cost.  Each step eliminates a vertex of
+    smallest bag by ``_eliminate_vertex``, as in ``_eliminate``.  Ties go to
+    the lowest index."""
+    bags = [a | 1 << v for v, a in enumerate(adj)]
     left = list(range(len(adj)))
-    order, bags = [], []
+    order, chosen = [], []
     while left:
-        degrees = [adj[v].bit_count() for v in left]
-        v = left.pop(degrees.index(min(degrees)))
-        around = adj[v]
+        sizes = [bags[v].bit_count() for v in left]
+        v = left.pop(sizes.index(min(sizes)))
         order.append(v)
-        bags.append(around | 1 << v)
-        rest = around
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            i = u.bit_length() - 1
-            adj[i] = (adj[i] | around) & ~(u | 1 << v)
-    return order, bags
+        chosen.append(bags[v])
+        _eliminate_vertex(bags, 1 << v)
+    return order, chosen
 
 
 def _min_degree_width(adj: list[int]) -> int:

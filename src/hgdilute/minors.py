@@ -534,6 +534,15 @@ def jigsaw_from_grid_minor(
     everything but one junction vertex per pattern edge.  The result is
     verified before returning.
     """
+    seq = _jigsaw_steps(h, g, mm)
+    ok, _ = verify_dilution(h, seq, dual(g))
+    if not ok:
+        raise ConstructionError("extracted sequence does not reach the dual pattern")
+    return seq
+
+
+def _jigsaw_steps(h: Hypergraph, g: Hypergraph, mm: MinorMap) -> DilutionSequence:
+    """``jigsaw_from_grid_minor``'s sequence, unverified."""
     _check_graph(g)
     if h.max_degree() > 2:
         raise InvalidInputError("hypergraph degree must be at most 2")
@@ -562,11 +571,7 @@ def jigsaw_from_grid_minor(
             raise ConstructionError(f"no junction vertex for pattern edge {u}-{v}")
     kept = {junction[ge] for ge in g.edges}
     steps = _collapse(h_red, [region[u] for u in sorted(g.vertices)], kept)
-    seq = seq0.then(steps)
-    ok, _ = verify_dilution(h, seq, dual(g))
-    if not ok:
-        raise ConstructionError("extracted sequence does not reach the dual pattern")
-    return seq
+    return seq0.then(steps)
 
 
 def _dual_graph(t: Hypergraph) -> Hypergraph | None:
@@ -640,7 +645,7 @@ def _dilution_by_minor(
     if found is None:
         return None
     seq, h_piece, mm = found
-    seq = seq.then(jigsaw_from_grid_minor(h_piece, g, mm).steps)
+    seq = seq.then(_jigsaw_steps(h_piece, g, mm).steps)
     ok, _ = verify_dilution(h, seq, t)
     if not ok:
         raise ConstructionError("minor route does not reach the target")

@@ -378,16 +378,25 @@ class TestSubsetDP:
         ]
 
 
+def flood_bag(adj, P, v):
+    """v plus the vertices outside P that v reaches through P, by a plain
+    breadth-first search that queues the vertices of P it meets."""
+    seen, queue = 1 << v, [v]
+    for x in queue:
+        new = adj[x] & ~seen
+        seen |= new
+        new &= P
+        while new:
+            b = new & -new
+            new ^= b
+            queue.append(b.bit_length() - 1)
+    return seen & ~P
+
+
 def oracle_eliminate(adj, cost):
     """The bottom-up subset DP over all 2^n sets, kept as the oracle."""
-    _union_table = decomposition._union_table
     n = len(adj)
     full = (1 << n) - 1
-    # the union of adj over a mask is three lookups, one per block of at
-    # most w vertex indices
-    w = max(1, -(-n // 3))
-    w2, low = 2 * w, (1 << w) - 1
-    t0, t1, t2 = (_union_table(adj[lo : lo + w]) for lo in (0, w, w2))
     bits = [(v, 1 << v) for v in range(n)]
     best = [0] * (full + 1)
     best[full] = -1
@@ -401,17 +410,7 @@ def oracle_eliminate(adj, cost):
             after = best[P | b]
             if after >= value:
                 continue
-            bag = adj[v]
-            reach = bag & P
-            if reach:
-                while True:
-                    around = t0[reach & low] | t1[reach >> w & low] | t2[reach >> w2]
-                    grown = reach | around & P
-                    if grown == reach:
-                        break
-                    reach = grown
-                bag = (bag | around) & ~P
-            bag |= b
+            bag = flood_bag(adj, P, v)
             c = cost(bag)
             if c < after:
                 c = after
@@ -614,6 +613,116 @@ class TestMinDegreeBound:
     )
     def test_known_values(self, h, width):
         assert min_degree_width(h) == width
+
+
+def reference_validate_td(h, td):
+    """The set-based tree-decomposition check, kept as the reference of the
+    mask check: the same verdicts and messages in the same order."""
+    err = td.tree_error()
+    if err:
+        return False, err
+    bags = td.bag_of()
+    for n, b in bags.items():
+        if not b <= h.vertices:
+            return False, f"bag of {n} contains non-vertices"
+    for e in sorted(h.edges, key=edge_key):
+        if not any(e <= b for b in bags.values()):
+            return False, f"edge {sorted(e)} not contained in any bag"
+    # in a rooted tree each connected part of a node set has exactly one
+    # topmost node, the one whose parent lies outside the set
+    parent = td.parent_of()
+    for v in sorted(h.vertices):
+        nodes_with = {n for n, b in bags.items() if v in b}
+        if sum(parent[n] not in nodes_with for n in nodes_with) > 1:
+            return False, f"occurrences of vertex {v} are not connected"
+    return True, None
+
+
+def reference_validate_ghd(h, ghd):
+    """The set-based cover-decomposition check, the mask check's reference."""
+    covers = ghd.cover_of()
+    if len(covers) != len(ghd.covers) or set(covers) != set(ghd.td.nodes):
+        return False, "covers do not match node set"
+    for n, lam in covers.items():
+        for e in lam:
+            if e not in h.edges:
+                return False, f"cover of {n} references non-edge {sorted(e)}"
+    ok, why = reference_validate_td(h, ghd.td)
+    if not ok:
+        return False, why
+    bags = ghd.td.bag_of()
+    for n in ghd.td.nodes:
+        union = frozenset().union(*covers[n]) if covers[n] else frozenset()
+        if not bags[n] <= union:
+            return False, f"bag of {n} not covered by its edge label"
+    return True, None
+
+
+def mutants(h, ghd, rng):
+    """Seeded one-change variants of a cover decomposition: one to three bag
+    vertices dropped, one added (a non-vertex among the candidates), a node
+    re-parented (to itself or to no node among the candidates), a cover edge
+    dropped, a non-edge added to a cover."""
+    td = ghd.td
+    names = sorted(h.vertices)
+
+    def with_bag(node, bag):
+        bags = tuple((n, bag if n == node else b) for n, b in td.bags)
+        return GHDecomposition(TreeDecomposition(td.nodes, td.parents, bags), ghd.covers)
+
+    def with_cover(node, lam):
+        covers = tuple((n, lam if n == node else c) for n, c in ghd.covers)
+        return GHDecomposition(td, covers)
+
+    for _ in range(4):
+        node, bag = rng.choice(td.bags)
+        if bag:
+            k = min(len(bag), rng.randint(1, 3))
+            yield with_bag(node, bag - set(rng.sample(sorted(bag), k)))
+        node, bag = rng.choice(td.bags)
+        yield with_bag(node, bag | {rng.choice(names + ["zz"])})
+        node, to = rng.choice(td.nodes), rng.choice(td.nodes + (None,))
+        parents = tuple((n, to if n == node else p) for n, p in td.parents)
+        yield GHDecomposition(TreeDecomposition(td.nodes, parents, td.bags), ghd.covers)
+        node, lam = rng.choice(ghd.covers)
+        if lam:
+            yield with_cover(node, lam - {rng.choice(sorted(lam, key=edge_key))})
+        wrong = frozenset(rng.sample(names, min(len(names), rng.randint(1, 3))))
+        if wrong not in h.edges:
+            yield with_cover(node, lam | {wrong})
+
+
+VIOLATIONS = (
+    "cycle in parent links",
+    "exactly one root",
+    "contains non-vertices",
+    "not contained in any bag",
+    "are not connected",
+    "references non-edge",
+    "not covered by its edge label",
+)
+
+
+class TestMaskValidatorsMatchReference:
+    def test_width_corpus_witnesses_and_mutants(self):
+        seen = set()
+        for i, h in enumerate(width_corpus()):
+            rng = random.Random(i)
+            td = exact_treewidth(h)[1]
+            bare = GHDecomposition(td, tuple((n, frozenset()) for n in td.nodes))
+            ghd = exact_ghw(h)[1]
+            ghds = [ghd, *mutants(h, ghd, rng)]
+            for t in [td] + [m.td for m in mutants(h, bare, rng)] + [g.td for g in ghds]:
+                got = validate_td(h, t)
+                assert got == reference_validate_td(h, t)
+                seen.add(got[1])
+            for g in ghds:
+                got = validate_ghd(h, g)
+                assert got == reference_validate_ghd(h, g)
+                seen.add(got[1])
+        assert None in seen
+        kinds = {k for k in VIOLATIONS for why in seen - {None} if k in why}
+        assert kinds == set(VIOLATIONS)
 
 
 class TestMergeTransform:

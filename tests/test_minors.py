@@ -43,6 +43,7 @@ from hgdilute.minors import (
     find_minor,
     jigsaw_from_grid_minor,
     minor_from_dilution,
+    minor_piece,
     prejigsaw_from_expressive_minor,
     prejigsaw_to_jigsaw,
     trivial_prejigsaw_witness,
@@ -822,6 +823,32 @@ class TestDecideDilution:
         with pytest.raises(BudgetExceededError, match="13 placement attempts"):
             decide_dilution(mesh(6, 6), jigsaw(3, 2), budget=13)
         assert decide_dilution(mesh(6, 6), jigsaw(4, 4)) is None
+
+    @pytest.mark.parametrize(
+        "h,n",
+        [(mesh(4, 4), 2), (mesh(6, 6), 2), (mesh(6, 6), 3)],
+        ids=["mesh44-2", "mesh66-2", "mesh66-3"],
+    )
+    def test_route_verifies_once(self, h, n, monkeypatch):
+        # the route checks its whole sequence from h and nothing else; its
+        # sequence is the piece's followed by jigsaw_from_grid_minor's
+        budget = 10**5
+        t, g = jigsaw(n, n), grid(n, n)
+        piece_seq, piece, mm = minor_piece(h, g, budget)
+        want = piece_seq.then(jigsaw_from_grid_minor(piece, g, mm).steps)
+        dg = minors._dual_graph(t)
+        dual_seq, dual_piece, dual_mm = minor_piece(h, dg, budget)
+        decided = dual_seq.then(jigsaw_from_grid_minor(dual_piece, dg, dual_mm).steps)
+        calls = []
+        verify = minors.verify_dilution
+        monkeypatch.setattr(
+            minors, "verify_dilution", lambda *a: calls.append(a) or verify(*a)
+        )
+        assert decide_dilution(h, t, budget) == decided
+        assert len(calls) == 1
+        # jigsaw-extract's call
+        assert minors._dilution_by_minor(h, g, t, budget) == (want, mm)
+        assert len(calls) == 2
 
     def test_criterion_7_never_runs_the_route(self, monkeypatch, rng):
         def no_route(*args, **kwargs):
