@@ -1,7 +1,8 @@
 """Command-line surface: every operation wired to files.
 
 Exit codes: 0 success, 1 negative decision (e.g. not a dilution, no minor),
-2 input errors (parse failures, violated preconditions, exceeded limits),
+2 input errors (parse failures, violated preconditions, exceeded limits,
+unwritable output paths, budgets below 0),
 3 exhausted search budget (inconclusive; ``--strict`` upgrades this to 2).
 Output files are written atomically.  ``--format json`` mirrors every text
 format one-to-one.  The ``HGDILUTE_BUDGET`` environment variable overrides
@@ -67,14 +68,11 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _default_budget() -> int:
-    env = os.environ.get("HGDILUTE_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidInputError(f"HGDILUTE_BUDGET={env!r} is not an integer")
-    return DEFAULT_SEARCH_BUDGET
+def _budget(text: str) -> int:
+    """A search budget, from ``--budget`` or ``HGDILUTE_BUDGET``."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"budget must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _read(path: str) -> str:
@@ -92,15 +90,18 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hgdilute-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hgdilute-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise InvalidInputError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _load_hypergraph(path: str):
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--seq", help="sequence to verify instead of searching")
     p.add_argument("--seq-out", help="write the found sequence here")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.set_defaults(func=_cmd_check_dilution)
 
     p = sub.add_parser("width", help="exact treewidth or cover width")
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=2, help="jigsaw dimension")
     p.add_argument("--seq-out")
     p.add_argument("--witness-out", help="write the grid minor map here")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.set_defaults(func=_cmd_jigsaw_extract)
 
     p = sub.add_parser(
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-in", help="expressive-minor witness file")
     p.add_argument("--seq-out")
     p.add_argument("--witness-out", help="write the pre-jigsaw witness here")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.set_defaults(func=_cmd_prejigsaw_extract)
 
     p = sub.add_parser("cq-eval", help="evaluate a query over a database")
@@ -495,10 +496,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "budget", None) is None and hasattr(args, "budget"):
+        env = os.environ.get("HGDILUTE_BUDGET")
         try:
-            args.budget = _default_budget()
-        except InvalidInputError as err:
-            print(f"error: {err}", file=sys.stderr)
+            args.budget = _budget(env) if env else DEFAULT_SEARCH_BUDGET
+        except argparse.ArgumentTypeError as err:
+            print(f"error: HGDILUTE_BUDGET: {err}", file=sys.stderr)
             return EXIT_INPUT
     if getattr(args, "max_vertices", -1) is None:
         args.max_vertices = (

@@ -33,9 +33,10 @@ operations, and each child is born in the index form the labelling core
 and ``reachable_dilutions`` (with no target), run on two kernels:
 ``_children`` is the one place a sweep steps and drops a child below the
 target's size or beyond the search's contour, and ``_label`` the one place
-it drops a child failing the target's cuts, looks up an index form it has
-met before and labels the rest.  Named ``Step`` values are built only for
-the states the search finds.
+it drops a child failing the target's cuts and labels the rest, through
+the certificate cache, the one table of labellings.  Search states carry
+no vertex names: named ``Step`` values are built only along the sequence
+returned, replayed from the source's names.
 
 ``_step`` is the one place that gives step semantics on named hypergraphs:
 it returns the child and the edge image, which says which child edge each
@@ -278,11 +279,19 @@ def reduce_hypergraph(h: Hypergraph) -> tuple[Hypergraph, DilutionSequence]:
     # deleting a vertex that shares its type with a kept one collapses no
     # edges, so the isolated vertices left are exactly those of h
     steps.extend(DeleteVertex(v) for v in by_type.get(frozenset(), ()))
+    cur = _apply_dropping_empty_edge(h, steps)
+    return cur, DilutionSequence.for_source(h, steps)
+
+
+def _apply_dropping_empty_edge(h: Hypergraph, steps: list) -> Hypergraph:
+    """Apply steps to h, then delete the empty edge they leave, if any, and
+    append that deletion to ``steps``.  An empty edge that is the only edge
+    left is no subedge and stays."""
     cur = apply_sequence(h, DilutionSequence(tuple(steps)))
     if frozenset() in cur.edges and len(cur.edges) > 1:
         steps.append(DeleteSubedge(frozenset()))
         cur = delete_subedge(cur, frozenset())
-    return cur, DilutionSequence.for_source(h, steps)
+    return cur
 
 
 # -- exhaustive decision -----------------------------------------------------
@@ -440,20 +449,15 @@ def _children(form: tuple, target: tuple | None = None, cap: int | None = None):
         yield kind, x, child_n, child
 
 
-def _label(labelled: dict, n: int, edges: frozenset, target: tuple | None = None):
+def _label(n: int, edges: frozenset, target: tuple | None = None):
     """The certificate and generators of the index form ``(n, edges)``, or
-    None when it fails the ``_may_reach`` cut of a ``target``: looked up in
-    the sweep's ``labelled`` table (index form -> certificate and
-    generators, or False for a form the cut drops), and labelled and
-    entered there only on a miss."""
-    got = labelled.get((n, edges))
-    if got is None:
-        if target is not None and not _may_reach(n, edges, target[2]):
-            labelled[n, edges] = False
-            return None
-        cert, _, gens = _canonical_index((n, tuple(sorted(edges))), DEFAULT_ISO_BUDGET)
-        labelled[n, edges] = got = cert, gens
-    return got or None
+    None when it fails the ``_may_reach`` cut of a ``target``.  The
+    labelling comes from ``_canonical_index``, whose cache holds every form
+    labelled before, so a sweep keeps no table of its own."""
+    if target is not None and not _may_reach(n, edges, target[2]):
+        return None
+    cert, _, gens = _canonical_index((n, tuple(sorted(edges))), DEFAULT_ISO_BUDGET)
+    return cert, gens
 
 
 def search_dilution(
@@ -477,12 +481,12 @@ def search_dilution(
     states with f <= F, starting at F = f(source) and rising by one.  Each
     contour is a fresh pass in the same step order; a child beyond the
     contour is not labelled, and a child on its last level, at depth F, is
-    tested against the target but not expanded.  All contours share one
-    table of labelled index forms.  A step removes at most one vertex, so
-    f never falls along a path: every state on a shortest path to a state
-    of the contour lies in it, and a breadth-first contour replays the
-    plain breadth-first search restricted to its own states, in the same
-    order and with the same discovery parents.
+    tested against the target but not expanded.  All contours share the
+    certificate cache.  A step removes at most one vertex, so f never falls
+    along a path: every state on a shortest path to a state of the contour
+    lies in it, and a breadth-first contour replays the plain breadth-first
+    search restricted to its own states, in the same order and with the
+    same discovery parents.
 
     The first contour alone runs depth-first: it takes the entry queued
     last and queues a state's children in reverse step order.  Each step
@@ -517,20 +521,18 @@ def search_dilution(
     if n < t_n or len(masks) < target[1] or not _may_reach(n, masks, target[2]):
         return None
     src_form = n, frozenset(masks), src_gens
-    labelled = {src_form[:2]: (src_cert, src_gens)}
     expanded = set()  # certificates of the states expanded in any contour
     for bound in itertools.count(n - t_n):
         seen, cut = {src_cert}, False
         depth_first = bound == n - t_n
-        # trail[i] is (parent position, step) of the i-th state found; a
-        # queued state is its vertex names, form, certificate, position (-1
-        # for h_src) and depth, and a depth-first child waits as its parent's
-        # entry with (kind, x, child n, child edges) for form and no cert
-        trail: list[tuple[int, Step]] = []
-        queue = deque([(src_names, src_form, src_cert, -1, 0)])
+        # trail[i] is (parent position, kind, x) of the i-th state found; a
+        # queued state is (form, cert, position or -1 for h_src, depth), and
+        # a depth-first child waits with (kind, x, child n, edges) as form, no cert
+        trail: list[tuple[int, int, int]] = []
+        queue = deque([(src_form, src_cert, -1, 0)])
         take = queue.pop if depth_first else queue.popleft
         while queue:
-            names, form, cert, at, depth = take()
+            form, cert, at, depth = take()
             if cert is None:  # once found, it goes back on top and is expanded
                 children = [form]
             else:
@@ -550,29 +552,28 @@ def search_dilution(
                     cut = True
                     continue
                 if depth_first and cert is not None:  # labelled when taken
-                    found.append((names, (kind, x, child_n, child), None, at, depth))
+                    found.append(((kind, x, child_n, child), None, at, depth))
                     continue
-                got = _label(labelled, child_n, child, target)
+                got = _label(child_n, child, target)
                 if got is None or got[0] in seen:
                     continue
                 c = got[0]
-                step = _named_step(kind, x, names)
                 if c == target_cert:
-                    steps = [step]
-                    while at >= 0:
-                        at, prev = trail[at]
-                        steps.append(prev)
-                    return DilutionSequence.for_source(h_src, reversed(steps))
+                    path = [(at, kind, x)]
+                    while path[-1][0] >= 0:
+                        path.append(trail[path[-1][0]])
+                    steps, names = [], src_names
+                    for _, kind, x in reversed(path):
+                        steps.append(_named_step(kind, x, names))
+                        if kind != _DELETE_SUBEDGE:
+                            names = names[:x] + names[x + 1 :]
+                    return DilutionSequence.for_source(h_src, steps)
                 seen.add(c)
                 if last:
                     cut = True
                     continue
-                trail.append((at, step))
-                child_names = (
-                    names if kind == _DELETE_SUBEDGE else names[:x] + names[x + 1 :]
-                )
-                child_form = child_n, child, got[1]
-                found.append((child_names, child_form, c, len(trail) - 1, depth + 1))
+                trail.append((at, kind, x))
+                found.append(((child_n, child, got[1]), c, len(trail) - 1, depth + 1))
             queue.extend(reversed(found) if depth_first else found)
         if not cut:
             return None
@@ -607,9 +608,7 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
     _make_room(_reach_memo)
     n, masks = h_src._index_form[1]
     start, _, gens = _canonical_index((n, masks), DEFAULT_ISO_BUDGET)
-    edges = frozenset(masks)
-    labelled = {(n, edges): (start, gens)}  # index form -> labelling
-    source = _class_node(start, (n, edges, gens))
+    source = _class_node(start, (n, frozenset(masks), gens))
     seen = {source}
     queue = deque([source])
     expanded = 0
@@ -624,7 +623,7 @@ def reachable_dilutions(h_src: Hypergraph, budget: int = DEFAULT_SEARCH_BUDGET) 
         if children is None:
             found = []
             for _, _, child_n, child_edges in _children(node.form):
-                c, child_gens = _label(labelled, child_n, child_edges)
+                c, child_gens = _label(child_n, child_edges)
                 found.append(_class_node(c, (child_n, child_edges, child_gens)))
             node.children = children = tuple(dict.fromkeys(found))
         for child in children:

@@ -426,6 +426,8 @@ def parse_solutions(text: str) -> tuple[list[str], frozenset[Assignment]]:
     else:
         variables, rows = doc["vars"], doc["solutions"]
     variables = _names(variables, "variable", _TOKEN_RE)
+    if len(set(variables)) != len(variables):
+        raise ParseError(f"variables {variables} repeat a name")
     sols = set()
     for row in rows:
         if len(_names(row, "constant")) != len(variables):
@@ -442,13 +444,19 @@ def write_rename(rename: dict[str, str], fmt: str = "text") -> str:
 @_parser
 def parse_rename(text: str) -> dict[str, str]:
     if (doc := _json_doc(text)) is not None:
-        return dict(doc["rename"])
-    out = {}
-    for lineno, line in _lines(text):
-        parts = line.split("->")
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'old -> new'")
-        out[parts[0].strip()] = parts[1].strip()
+        pairs = list(doc["rename"].items())
+    else:
+        pairs = []
+        for lineno, line in _lines(text):
+            parts = line.split("->")
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected 'old -> new'")
+            pairs.append((parts[0].strip(), parts[1].strip()))
+    out: dict[str, str] = {}
+    for old, new in pairs:
+        if _check_name(old, "variable") in out:
+            raise ParseError(f"variable {old!r} is renamed twice")
+        out[old] = _check_name(new, "variable")
     return out
 
 

@@ -131,18 +131,19 @@ def edge_key(e) -> tuple:
 # -- dual ------------------------------------------------------------------
 
 
-def dual_with_map(h: Hypergraph) -> tuple[Hypergraph, dict[frozenset, str]]:
-    """Dual hypergraph plus the bijection original-edge -> dual-vertex name.
-
-    Dual vertices are H's edges; dual edges are the incidence sets of H's
-    vertices (deduplicated).  Generated names render the edge contents, which
-    keeps them stable across calls.
-    """
-    names = {}
-    for e in sorted(h.edges, key=edge_key):
-        names[e] = "{" + ",".join(sorted(e)) + "}"
+def _dual_names(h: Hypergraph) -> dict[frozenset, str]:
+    """Each edge's name as a vertex of the dual: its contents, so an edge
+    has one name in every call and every hypergraph that has it."""
+    names = {e: "{" + ",".join(sorted(e)) + "}" for e in sorted(h.edges, key=edge_key)}
     if len(set(names.values())) != len(names):
         raise InvalidInputError("vertex names make dual edge names ambiguous")
+    return names
+
+
+def dual_with_map(h: Hypergraph) -> tuple[Hypergraph, dict[frozenset, str]]:
+    """Dual hypergraph plus ``_dual_names``: dual vertices are H's edges;
+    dual edges are the incidence sets of H's vertices (deduplicated)."""
+    names = _dual_names(h)
     dual_edges = frozenset(
         frozenset(names[e] for e in at) for at in h._incidence.values()
     )

@@ -64,12 +64,11 @@ from functools import cached_property, lru_cache
 from .decomposition import DEFAULT_TW_VERTEX_LIMIT, _eliminate, _min_degree_width
 from .dilution import (
     DEFAULT_SEARCH_BUDGET,
-    DeleteSubedge,
     DeleteVertex,
     DilutionSequence,
     MergeOn,
+    _apply_dropping_empty_edge,
     apply_sequence,
-    delete_subedge,
     reduce_hypergraph,
     search_dilution,
     track_labels,
@@ -94,6 +93,7 @@ from .hypergraph import (
     _adjacency,
     _bits,
     _circuit_rank,
+    _dual_names,
     _edge_count,
     _find,
     _mask,
@@ -534,26 +534,26 @@ def jigsaw_from_grid_minor(
     everything but one junction vertex per pattern edge.  The result is
     verified before returning.
     """
-    seq = _jigsaw_steps(h, g, mm)
+    _check_graph(g)
+    if h.max_degree() > 2:
+        raise InvalidInputError("hypergraph degree must be at most 2")
+    if not is_connected(g):
+        raise InvalidInputError("pattern must be connected")
+    h_red, seq = reduce_hypergraph(h)
+    ok, why = validate_minor_map(g, dual(h_red), mm, require_onto=True)
+    if not ok:
+        raise InvalidInputError(f"minor map invalid for the dual: {why}")
+    seq = seq.then(_jigsaw_steps(h_red, g, mm))
     ok, _ = verify_dilution(h, seq, dual(g))
     if not ok:
         raise ConstructionError("extracted sequence does not reach the dual pattern")
     return seq
 
 
-def _jigsaw_steps(h: Hypergraph, g: Hypergraph, mm: MinorMap) -> DilutionSequence:
-    """``jigsaw_from_grid_minor``'s sequence, unverified."""
-    _check_graph(g)
-    if h.max_degree() > 2:
-        raise InvalidInputError("hypergraph degree must be at most 2")
-    if not is_connected(g):
-        raise InvalidInputError("pattern must be connected")
-    h_red, seq0 = reduce_hypergraph(h)
-    d, edge_to_name = dual_with_map(h_red)
-    name_to_edge = {name: e for e, name in edge_to_name.items()}
-    ok, why = validate_minor_map(g, d, mm, require_onto=True)
-    if not ok:
-        raise InvalidInputError(f"minor map invalid for the dual: {why}")
+def _jigsaw_steps(h_red: Hypergraph, g: Hypergraph, mm: MinorMap) -> list:
+    """``jigsaw_from_grid_minor``'s steps from the reduced h_red, unchecked:
+    mm is an onto minor map of connected g into the dual of h_red."""
+    name_to_edge = {name: e for e, name in _dual_names(h_red).items()}
     images = mm.as_dict()
     region = {
         u: frozenset(name_to_edge[x] for x in images[u]) for u in g.vertices
@@ -570,8 +570,7 @@ def _jigsaw_steps(h: Hypergraph, g: Hypergraph, mm: MinorMap) -> DilutionSequenc
             u, v = sorted(ge)
             raise ConstructionError(f"no junction vertex for pattern edge {u}-{v}")
     kept = {junction[ge] for ge in g.edges}
-    steps = _collapse(h_red, [region[u] for u in sorted(g.vertices)], kept)
-    return seq0.then(steps)
+    return _collapse(h_red, [region[u] for u in sorted(g.vertices)], kept)
 
 
 def _dual_graph(t: Hypergraph) -> Hypergraph | None:
@@ -626,7 +625,8 @@ def minor_piece(
     # g is connected, so its model lies in one component of d.  The map must
     # be made onto a connected dual, so the vertices of h_red outside that
     # component's edges go first; the edges they empty collapse into one
-    # empty edge, which is dropped
+    # empty edge, which is dropped.  Each vertex left keeps all its edges,
+    # so the piece is reduced like h_red
     used = frozenset().union(*mm.as_dict().values())
     piece = next(c for c in components(d) if c & used)
     kept = {v for e, name in edge_to_name.items() if name in piece for v in e}
@@ -640,12 +640,12 @@ def _dilution_by_minor(
 ) -> tuple[DilutionSequence, MinorMap] | None:
     """A sequence from degree-2 h onto t, the dual of connected g, verified
     from h, and the onto minor map of g it was built from; None when g is no
-    minor of the dual of the reduced h."""
+    minor of the dual of the reduced h.  The piece is collapsed as it stands."""
     found = minor_piece(h, g, budget)
     if found is None:
         return None
     seq, h_piece, mm = found
-    seq = seq.then(_jigsaw_steps(h_piece, g, mm).steps)
+    seq = seq.then(_jigsaw_steps(h_piece, g, mm))
     ok, _ = verify_dilution(h, seq, t)
     if not ok:
         raise ConstructionError("minor route does not reach the target")
@@ -870,19 +870,6 @@ def validate_prejigsaw(
     if not set(h.vertices) <= (pi_image | on_paths):
         return fail("some host vertex is neither a corner nor on a fixed path")
     return PreJigsawReport(True, None, injective)
-
-
-def _apply_dropping_empty_edge(h: Hypergraph, steps: list) -> Hypergraph:
-    """Apply steps to h, then delete the empty edge they leave, if any.
-
-    The deletion is appended to ``steps``.  An empty edge that is the only
-    edge left is no subedge and stays.
-    """
-    cur = apply_sequence(h, DilutionSequence(tuple(steps)))
-    if frozenset() in cur.edges and len(cur.edges) > 1:
-        steps.append(DeleteSubedge(frozenset()))
-        cur = delete_subedge(cur, frozenset())
-    return cur
 
 
 def _collapse(h: Hypergraph, regions, kept: set[str]) -> list:

@@ -105,6 +105,15 @@ class TestStructureCommands:
         assert r.vertices == frozenset({"a", "b", "c"})
         assert "delv z" in seq_out.read_text()
 
+    @pytest.mark.parametrize("option", ["-o", "--seq-out"])
+    def test_unwritable_output_exit_2(self, tmp_path, option, capsys):
+        src = tmp_path / "h.hg"
+        src.write_text("e1(a,b)\ne2(b,c)\n")
+        out = tmp_path / "missing" / "r.hg"
+        assert main(["reduce", str(src), option, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+
     def test_primal(self, tmp_path):
         src = tmp_path / "h.hg"
         src.write_text("e1(a,b,c)\n")
@@ -426,6 +435,22 @@ class TestBudgets:
         tgt.write_text("f(a,c)\n")
         monkeypatch.setenv("HGDILUTE_BUDGET", "1")
         assert main(["check-dilution", str(src), str(tgt), "--budget", "1000"]) == 0
+
+    @pytest.mark.parametrize(
+        "flag, env", [(["--budget", "-5"], None), ([], "-1")], ids=["flag", "env"]
+    )
+    def test_negative_budget_exit_2(self, tmp_path, monkeypatch, capsys, flag, env):
+        src, tgt = tmp_path / "src.hg", tmp_path / "tgt.hg"
+        src.write_text("e1(a,b)\ne2(b,c)\n")
+        tgt.write_text("f(a,c)\n")
+        if env is not None:
+            monkeypatch.setenv("HGDILUTE_BUDGET", env)
+        try:
+            code = main(["check-dilution", str(src), str(tgt), *flag])
+        except SystemExit as exit_info:  # argparse rejects the flag
+            code = exit_info.code
+        assert code == 2
+        assert "budget must be an integer >= 0" in capsys.readouterr().err
 
 
 class TestSuiteCommand:

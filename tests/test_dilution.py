@@ -528,33 +528,39 @@ class TestOrbitPruning:
         assert mask_steps(h, gens) == orbit_steps(h, gens)
 
     @pytest.mark.parametrize(
-        "src, target, found",
+        "src, target, found, labels",
         [
-            (mesh(3, 3), jigsaw(2, 2), True),
-            (mesh(3, 4), jigsaw(2, 3), True),
-            (grid(3, 3), H("ab", "bc", "ca"), True),
-            (mesh(3, 3), H("abc", "cd", "de", "ea"), True),  # two contours
-            (mesh(3, 3), H("abc", "cde", "aef"), False),  # four contours
+            (mesh(3, 3), jigsaw(2, 2), True, (367, 14)),
+            (mesh(3, 4), jigsaw(2, 3), True, (2853, 38)),
+            (grid(3, 3), H("ab", "bc", "ca"), True, (6967, 472)),
+            (mesh(3, 3), H("abc", "cd", "de", "ea"), True, (367, 85)),  # two contours
+            (mesh(3, 3), H("abc", "cde", "aef"), False, (367, 49)),  # four contours
         ],
         ids=["mesh33", "mesh34", "grid33", "mesh33-two-contours", "mesh33-absent"],
     )
     @pytest.mark.usefixtures("empty_cert_cache")
-    def test_each_child_labelled_once(self, monkeypatch, src, target, found):
+    def test_each_child_labelled_once(self, monkeypatch, src, target, found, labels):
+        # a form is labelled when it misses the certificate cache, the one
+        # table of labellings; labels pins (sweep, search) misses from cold
         keys = []
         core = dilution._canonical_index
 
         def recording_core(key, budget):
-            keys.append(key)
+            if key not in hypergraph._cert_cache:
+                keys.append(key)
             return core(key, budget)
 
         monkeypatch.setattr(dilution, "_canonical_index", recording_core)
         reachable_dilutions(src)
         assert keys and len(keys) == len(set(keys))
+        swept = len(keys)
         keys.clear()
+        hypergraph._cert_cache.clear()
         assert (search_dilution(src, target) is not None) == found
         # once across all contours, and never a child below the target's
         # size or failing a cut
         assert keys and len(keys) == len(set(keys))
+        assert (swept, len(keys)) == labels
         assert keys[0] == src._index_form[1]
         for n, masks in keys[1:]:
             assert n >= len(target.vertices) and len(masks) >= len(target.edges)
@@ -562,11 +568,13 @@ class TestOrbitPruning:
 
     @pytest.mark.usefixtures("empty_cert_cache")
     def test_relabelled_mesh_labels_few_forms(self, monkeypatch):
-        # the breadth-first first contour labelled about 1,000 forms here
+        # the breadth-first first contour labelled about 1,000 forms here;
+        # a labelled form is a miss of the certificate cache
         core, keys = dilution._canonical_index, []
 
         def counting_core(key, budget):
-            keys.append(key)
+            if key not in hypergraph._cert_cache:
+                keys.append(key)
             return core(key, budget)
 
         monkeypatch.setattr(dilution, "_canonical_index", counting_core)
@@ -574,6 +582,7 @@ class TestOrbitPruning:
         for seed in range(3):
             copy = relabelled(mesh(3, 4), seed)
             keys.clear()
+            hypergraph._cert_cache.clear()
             found = search_dilution(copy, target)
             assert len(keys) <= 50
             assert found == unpruned_search(copy, target)[0]

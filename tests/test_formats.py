@@ -309,9 +309,26 @@ class TestMalformedInput:
             (parse_database, '{"relations": {"R": [["a b"]]}}'),
             (parse_database, '{"relations": {"R-S": [["a"]]}}'),
             (parse_solutions, '{"vars": ["x"], "solutions": [["a b"]]}'),
+            (parse_rename, '{"rename": {"a": 5}}'),
+            (parse_rename, '{"rename": {"a b": "c"}}'),
         ],
     )
     def test_json_names_follow_the_text_rule(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_rename, "a -> \n"),
+            (parse_rename, "a b -> c\n"),
+            (parse_rename, "a -> c\nb -> d\na -> c\n"),
+            (parse_solutions, "% vars: x x\nsol(a,b).\n"),
+            (parse_solutions, '{"vars": ["x", "x"], "solutions": [["a", "b"]]}'),
+        ],
+    )
+    def test_no_name_lost(self, parse, text):
+        # an empty, spaced or repeated name would be dropped or overwritten
         with pytest.raises(ParseError):
             parse(text)
 
