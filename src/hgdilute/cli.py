@@ -27,12 +27,7 @@ from .cq import (
     compute_core,
     semantic_ghw,
 )
-from .decomposition import (
-    DEFAULT_GHW_VERTEX_LIMIT,
-    DEFAULT_TW_VERTEX_LIMIT,
-    exact_ghw,
-    exact_treewidth,
-)
+from .decomposition import exact_ghw, exact_treewidth
 from .dilution import (
     DEFAULT_SEARCH_BUDGET,
     apply_sequence,
@@ -197,7 +192,9 @@ def _cmd_check_dilution(args) -> int:
 def _cmd_width(args) -> int:
     h, names = _load_hypergraph(args.hypergraph)
     oracle = exact_treewidth if args.kind == "tw" else exact_ghw
-    report, witness = oracle(h, max_vertices=args.max_vertices)
+    # without --max-vertices each oracle keeps its own default limit
+    limit = {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
+    report, witness = oracle(h, **limit)
     print(report.width)
     if args.witness_out:
         text = formats.write_decomposition(witness, names, fmt=args.format)
@@ -502,10 +499,6 @@ def main(argv=None) -> int:
         except argparse.ArgumentTypeError as err:
             print(f"error: HGDILUTE_BUDGET: {err}", file=sys.stderr)
             return EXIT_INPUT
-    if getattr(args, "max_vertices", -1) is None:
-        args.max_vertices = (
-            DEFAULT_TW_VERTEX_LIMIT if args.kind == "tw" else DEFAULT_GHW_VERTEX_LIMIT
-        )
     try:
         return args.func(args)
     except BudgetExceededError as err:

@@ -23,9 +23,9 @@ functional dependence on the reintroduced variable.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 
 from .decomposition import WidthReport, _min_degree_bags, exact_ghw
@@ -77,8 +77,8 @@ class Database:
         return dict(self.relations)
 
     def active_domain(self) -> frozenset[str]:
-        rows = chain.from_iterable(rows for _, rows in self.relations)
-        return frozenset(chain.from_iterable(rows))
+        rows = itertools.chain.from_iterable(rows for _, rows in self.relations)
+        return frozenset(itertools.chain.from_iterable(rows))
 
     def size(self) -> int:
         """Total cell count, one slot per tuple added for the relation row itself."""
@@ -405,20 +405,6 @@ def _atom_by_edge(q: ConjunctiveQuery) -> dict[frozenset, Atom]:
     return table
 
 
-class _SymbolGen:
-    def __init__(self, used):
-        self.used = set(used)
-        self.counter = 0
-
-    def next(self) -> str:
-        while True:
-            self.counter += 1
-            sym = f"P{self.counter}"
-            if sym not in self.used:
-                self.used.add(sym)
-                return sym
-
-
 def reduce_along_dilution(
     q: ConjunctiveQuery,
     d: Database,
@@ -461,7 +447,8 @@ def reduce_along_dilution(
     referenced = {a.relation for a in cur_q.atoms}
     rels = d1.relations_dict()
     cur_d = Database.of({s: rows for s, rows in rels.items() if s in referenced})
-    symgen = _SymbolGen(set(rels))
+    # fresh relation symbols P1, P2, ... that the database does not use
+    symgen = (f"P{i}" for i in itertools.count(1) if f"P{i}" not in rels)
     sizes = [cur_d.size()]
 
     for step, image in zip(reversed(seq.steps), reversed(images)):
@@ -493,7 +480,7 @@ def _reverse_step(q, d, step, image, symgen):
         pos = {var: i for i, var in enumerate(host.args)}
         args = tuple(sorted(f))
         cols = _columns([pos[var] for var in args])
-        sym = symgen.next()
+        sym = next(symgen)
         new_atoms = list(q.atoms) + [Atom(sym, args)]
         new_rels = dict(rels)
         new_rels[sym] = tuple(sorted(set(map(cols, rels[host.relation]))))
@@ -518,7 +505,7 @@ def _reverse_step(q, d, step, image, symgen):
         fresh = (_fresh_constant(0),)
         for e in incident:
             base = atoms[image[e]]
-            sym = symgen.next()
+            sym = next(symgen)
             new_atoms.append(Atom(sym, base.args + (v,)))
             new_rels[sym] = tuple(row + fresh for row in rels[base.relation])
         return ConjunctiveQuery(tuple(new_atoms)), _database(new_rels)
@@ -533,7 +520,7 @@ def _reverse_step(q, d, step, image, symgen):
     for e in incident:
         args = tuple(sorted(e, key=lambda var: (var == v, var)))
         cols = _columns([pos[var] for var in args])
-        sym = symgen.next()
+        sym = next(symgen)
         new_atoms.append(Atom(sym, args))
         new_rels[sym] = tuple(sorted(set(map(cols, extended))))
     return ConjunctiveQuery(tuple(new_atoms)), _database(new_rels)

@@ -296,18 +296,15 @@ def _apply_dropping_empty_edge(h: Hypergraph, steps: list) -> Hypergraph:
 
 # -- exhaustive decision -----------------------------------------------------
 
-# step kinds of the index-space search, in ``valid_steps`` order
-_DELETE_VERTEX, _DELETE_SUBEDGE, _MERGE_ON = 0, 1, 2
-
 
 def _edge_order(m: int) -> tuple:
     """``edge_key`` of an edge mask, vertex i standing for the i-th name."""
     return m.bit_count(), _bits(m)
 
 
-def _index_steps(n: int, edges, gens) -> list[tuple[int, int]]:
+def _index_steps(n: int, edges, gens) -> list[tuple[type, int]]:
     """The steps the search expands from vertices ``0..n-1`` with edge masks
-    ``edges``: ``(kind, vertex or edge mask)`` pairs.
+    ``edges``: ``(kind, vertex or edge mask)`` pairs, each kind a step class.
 
     They are ``valid_steps`` of the named state in its order (vertex order
     is name order, and ``_edge_order`` is ``edge_key``), keeping only the
@@ -326,9 +323,9 @@ def _index_steps(n: int, edges, gens) -> list[tuple[int, int]]:
     deletable = sorted(
         (e for e in edges if any(e & f == e != f for f in edges)), key=_edge_order
     )
-    steps = [(_DELETE_VERTEX, v) for v in range(n)]
-    steps += [(_DELETE_SUBEDGE, e) for e in deletable]
-    steps += [(_MERGE_ON, v) for v in range(n) if twice >> v & 1]
+    steps = [(DeleteVertex, v) for v in range(n)]
+    steps += [(DeleteSubedge, e) for e in deletable]
+    steps += [(MergeOn, v) for v in range(n) if twice >> v & 1]
     if not gens:
         return steps
     first = [-1] * n  # vertex -> first vertex of its orbit
@@ -358,19 +355,19 @@ def _index_steps(n: int, edges, gens) -> list[tuple[int, int]]:
                     stack.append(z)
     kept, met = [], set()
     for kind, x in steps:
-        key = (kind, orbit[x] if kind == _DELETE_SUBEDGE else first[x])
+        key = (kind, orbit[x] if kind is DeleteSubedge else first[x])
         if key not in met:
             met.add(key)
             kept.append((kind, x))
     return kept
 
 
-def _named_step(kind: int, x: int, names) -> Step:
-    if kind == _DELETE_VERTEX:
-        return DeleteVertex(names[x])
-    if kind == _MERGE_ON:
-        return MergeOn(names[x])
-    return DeleteSubedge(frozenset([names[i] for i in _bits(x)]))
+def _named_step(kind: type, x: int, names) -> Step:
+    """The step of ``_index_steps``' pair ``(kind, x)`` on the vertices
+    ``names``: x names a vertex, or the edge mask of a subedge deletion."""
+    if kind is DeleteSubedge:
+        return DeleteSubedge(frozenset([names[i] for i in _bits(x)]))
+    return kind(names[x])
 
 
 def _invariants(n: int, masks) -> tuple[list[int], int, int]:
@@ -425,11 +422,11 @@ def _children(form: tuple, target: tuple | None = None, cap: int | None = None):
     """
     n, edges, gens = form
     for kind, x in _index_steps(n, edges, gens):
-        if kind == _DELETE_SUBEDGE:
+        if kind is DeleteSubedge:
             child_n, child = n, edges - {x}
         else:
             rest = edges
-            if kind == _MERGE_ON:
+            if kind is MergeOn:
                 bit, merged, rest = 1 << x, 0, []
                 for e in edges:
                     if e & bit:
@@ -528,7 +525,7 @@ def search_dilution(
         # trail[i] is (parent position, kind, x) of the i-th state found; a
         # queued state is (form, cert, position or -1 for h_src, depth), and
         # a depth-first child waits with (kind, x, child n, edges) as form, no cert
-        trail: list[tuple[int, int, int]] = []
+        trail: list[tuple[int, type, int]] = []
         queue = deque([(src_form, src_cert, -1, 0)])
         take = queue.pop if depth_first else queue.popleft
         while queue:
@@ -565,7 +562,7 @@ def search_dilution(
                     steps, names = [], src_names
                     for _, kind, x in reversed(path):
                         steps.append(_named_step(kind, x, names))
-                        if kind != _DELETE_SUBEDGE:
+                        if kind is not DeleteSubedge:
                             names = names[:x] + names[x + 1 :]
                     return DilutionSequence.for_source(h_src, steps)
                 seen.add(c)

@@ -66,13 +66,23 @@ def _parser(parse):
 
 
 def _json_doc(text: str):
-    """The parsed document if ``text`` is JSON, else None."""
+    """The parsed document if ``text`` is JSON, else None.  A key repeated
+    in one object is an error, not an entry the later one overwrites."""
     if not text.lstrip().startswith(("{", "[")):
         return None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as err:
         raise ParseError(f"bad JSON: {err}") from None
+
+
+def _json_object(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"bad JSON: repeated key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _write(doc, fmt: str, lines) -> str:
@@ -414,15 +424,18 @@ def write_solutions(variables, solutions, fmt: str = "text") -> str:
 @_parser
 def parse_solutions(text: str) -> tuple[list[str], frozenset[Assignment]]:
     if (doc := _json_doc(text)) is None:
-        variables, rows = [], []
-        for raw in text.splitlines():
+        variables, rows = None, []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if line.startswith("% vars:"):
+                if variables is not None:
+                    raise ParseError(f"line {lineno}: a second '% vars:' line")
                 variables = line[len("% vars:") :].split()
         for lineno, sym, args in _facts(text):
             if sym != "sol":
                 raise ParseError(f"line {lineno}: expected sol(...) facts")
             rows.append(args)
+        variables = variables or []
     else:
         variables, rows = doc["vars"], doc["solutions"]
     variables = _names(variables, "variable", _TOKEN_RE)

@@ -51,8 +51,6 @@ from functools import cached_property
 
 from .errors import BudgetExceededError, ConstructionError, InvalidInputError
 
-Edge = frozenset  # edges are frozensets of vertex names
-
 #: default number of refinement-tree nodes explored before giving up
 DEFAULT_ISO_BUDGET = 10**6
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .decomposition import DEFAULT_TW_VERTEX_LIMIT, _eliminate, _min_degree_width
 from .dilution import (
@@ -124,9 +125,9 @@ class MinorMap:
         return cls(tuple(sorted((v, frozenset(s)) for v, s in dict(mapping).items())))
 
 
-def _check_graph(g: Hypergraph, name: str = "pattern"):
+def _check_graph(g: Hypergraph):
     if any(len(e) != 2 for e in g.edges):
-        raise InvalidInputError(f"{name} must be 2-uniform")
+        raise InvalidInputError("pattern must be 2-uniform")
 
 
 def _edge_connects(e: frozenset, a: frozenset, b: frozenset) -> bool:
@@ -212,22 +213,32 @@ def _piece_rank(adj: list[int], piece: int) -> int:
     return (ends >> 1) - piece.bit_count() + 1
 
 
-def _degrees(adj: list[int]) -> list[int]:
-    """The vertex degrees of neighbour masks ``adj``, largest first."""
-    return sorted((m.bit_count() for m in adj), reverse=True)
+class _Plan:
+    """What the certificates read off a graph's neighbour masks ``adj``:
+    its edge count, circuit rank, vertex degrees largest first, and the
+    min-degree elimination bound, computed when first asked for."""
+
+    def __init__(self, adj: list[int]):
+        self.adj = adj
+        self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
+        self.degrees = sorted((m.bit_count() for m in adj), reverse=True)
+
+    @cached_property
+    def min_degree_width(self) -> int:
+        return _min_degree_width(self.adj)
 
 
-class _Pattern:
+class _Pattern(_Plan):
     """Search set-up of a connected pattern graph, built once per pattern.
 
     ``names`` holds the vertices in placement order: breadth-first from the
     least name, neighbours in name order.  ``adj`` is the adjacency by
-    position in that order, ``degrees`` the sorted degrees, ``earlier[i]``
-    the placed neighbours of position i, ``later[i]`` the number of its
-    neighbours placed after it, and ``fits[i]`` the (size, placed
-    neighbours, circuit rank) of each piece of the pattern left unplaced at
-    depth i, the piece holding position i first.  The treewidth is computed
-    only when a certificate asks for it.
+    position in that order, ``earlier[i]`` the placed neighbours of
+    position i, ``later[i]`` the number of its neighbours placed after it,
+    and ``fits[i]`` the (size, placed neighbours, circuit rank) of each
+    piece of the pattern left unplaced at depth i, the piece holding
+    position i first.  The treewidth is computed only when a certificate
+    asks for it.
     """
 
     def __init__(self, g: Hypergraph):
@@ -246,9 +257,7 @@ class _Pattern:
             raise InvalidInputError("pattern must be connected")
         self.names = [gnames[x] for x in order]
         index = {v: i for i, v in enumerate(self.names)}
-        self.adj = adj = _adjacency(n, [_mask(index, e) for e in g.edges])
-        self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
-        self.degrees = _degrees(adj)
+        super().__init__(adj := _adjacency(n, [_mask(index, e) for e in g.edges]))
         self.earlier = [[j for j in range(i) if adj[i] >> j & 1] for i in range(n)]
         self.later = [(adj[i] >> i + 1).bit_count() for i in range(n)]
         self.fits = [
@@ -264,31 +273,20 @@ class _Pattern:
         ]
 
     @cached_property
-    def min_degree_width(self) -> int:
-        return _min_degree_width(self.adj)
-
-    @cached_property
     def treewidth(self) -> int:
         return _eliminate(self.adj, int.bit_count, self.min_degree_width + 2)[0] - 1
 
 
-class _Host:
+class _Host(_Plan):
     """Search set-up of a host, shared by every pattern asked of it: sorted
-    names, neighbour masks (vertex i of ``names`` is bit i), edge count,
-    circuit rank and sorted degrees; the min-degree elimination bound and
-    the connected subsets are built when a search first needs them, the
-    subsets only up to the largest size a search has asked for."""
+    names and the plan of their neighbour masks (vertex i of ``names`` is
+    bit i); the connected subsets are built when a search first needs them,
+    and only up to the largest size a search has asked for."""
 
     def __init__(self, host: Hypergraph):
         self.names, (n, masks) = host._index_form
-        self.adj = adj = _adjacency(n, masks)
-        self.edges, self.rank = _edge_count(adj), _circuit_rank(adj)
-        self.degrees = _degrees(adj)
+        super().__init__(_adjacency(n, masks))
         self.cap, self._subsets = 0, []
-
-    @cached_property
-    def bound(self) -> int:
-        return _min_degree_width(self.adj)
 
     def subsets(self, cap: int) -> list[tuple[int, int, int]]:
         """The connected subsets in search order, at least all of at most
@@ -307,15 +305,15 @@ _host = lru_cache(maxsize=1)(_Host)
 
 
 def _wider(pattern: _Pattern, host: _Host) -> bool:
-    """Whether the pattern's exact treewidth exceeds the host's min-degree
-    elimination bound.  The exact subset DP, cut off at its running optimum
-    but 2^n in the worst case, runs only when the pattern fits the
-    treewidth limit and its own min-degree bound lies above the host's."""
-    n = len(pattern.adj)
+    """Whether the pattern's exact treewidth exceeds ``host.min_degree_width``,
+    the host's min-degree elimination bound.  The exact subset DP, cut off at
+    its running optimum but 2^n in the worst case, runs only when the pattern
+    fits the treewidth limit and its own min-degree bound lies above it."""
+    n, bound = len(pattern.adj), host.min_degree_width
     # a treewidth is at most the vertex count less one
-    if host.bound >= n - 1 or n > DEFAULT_TW_VERTEX_LIMIT:
+    if bound >= n - 1 or n > DEFAULT_TW_VERTEX_LIMIT:
         return False
-    return pattern.min_degree_width > host.bound and pattern.treewidth > host.bound
+    return pattern.min_degree_width > bound and pattern.treewidth > bound
 
 
 def find_minor(
@@ -490,13 +488,12 @@ def find_grid_minor(
 # -- jigsaw extraction ---------------------------------------------------------
 
 
-def _region_merge_spine(
-    h: Hypergraph, region: frozenset, protected: set[str]
-) -> list[str]:
+def _region_merge_spine(region: frozenset, protected: set[str]) -> list[str]:
     """Interior vertices whose merges fuse the edge region into one edge.
 
-    Candidates are degree-2 vertices with both incident edges in the region;
-    a lexicographic Kruskal sweep picks a spanning spine of minimum size.
+    Candidates are the vertices in two edges of the region, all their edges
+    on a host of degree at most 2; a lexicographic Kruskal sweep picks a
+    spanning spine of minimum size.
     """
     edges = sorted((e for e in region if e), key=edge_key)
     if len(edges) <= 1:
@@ -508,8 +505,6 @@ def _region_merge_spine(
             continue
         holders = [i for i, e in enumerate(edges) if w in e]
         if len(holders) != 2:
-            continue
-        if len(h._incidence[w]) != 2:
             continue
         a, b = _find(parent, holders[0]), _find(parent, holders[1])
         if a != b:
@@ -753,16 +748,14 @@ def validate_expressive_minor(
     assigned = {e: _mask(index, f) for e, f in rho.items()}
     free = set(masks) - set(assigned.values())
     pieces = _mask_components(_adjacency(n, free), (1 << n) - 1)
-    glist = sorted(g.edges, key=edge_key)
-    for i, e1 in enumerate(glist):
-        for e2 in glist[i + 1 :]:
-            a, b = assigned[e1], assigned[e2]
-            if e1 & e2 and not any(p & a and p & b for p in pieces):
-                return (
-                    False,
-                    f"assigned edges of incident pattern edges "
-                    f"{sorted(e1)}/{sorted(e2)} only connect through assigned edges",
-                )
+    for e1, e2 in combinations(sorted(g.edges, key=edge_key), 2):
+        a, b = assigned[e1], assigned[e2]
+        if e1 & e2 and not any(p & a and p & b for p in pieces):
+            return (
+                False,
+                f"assigned edges of incident pattern edges "
+                f"{sorted(e1)}/{sorted(e2)} only connect through assigned edges",
+            )
     return True, None
 
 
@@ -847,10 +840,8 @@ def validate_prejigsaw(
     wanted = {}  # corner pair -> the jigsaw edge holding both
     pi_image = set(pi.values())
     for je in sorted(jedges, key=edge_key):
-        mem = sorted(je)
-        for i, a in enumerate(mem):
-            for b in mem[i + 1 :]:
-                wanted[a, b] = je
+        for a, b in combinations(sorted(je), 2):
+            wanted[a, b] = je
     if set(paths) != set(wanted):
         return fail("fixed paths do not cover exactly the same-edge corner pairs")
     for (a, b), p in sorted(paths.items()):
@@ -876,7 +867,7 @@ def _collapse(h: Hypergraph, regions, kept: set[str]) -> list:
     """Steps that merge each edge region of h along its spine, in the given
     order, drop the empty edge this leaves, and delete every vertex of h
     outside kept.  The spines avoid kept."""
-    steps = [MergeOn(w) for r in regions for w in _region_merge_spine(h, r, kept)]
+    steps = [MergeOn(w) for r in regions for w in _region_merge_spine(r, kept)]
     cur = _apply_dropping_empty_edge(h, steps)
     steps.extend(DeleteVertex(v) for v in sorted(cur.vertices - kept))
     return steps
@@ -916,8 +907,7 @@ def prejigsaw_from_expressive_minor(
     h_red, seq0 = reduce_hypergraph(h)
     d, edge_to_name = dual_with_map(h_red)
     name_to_edge = {name: e for e, name in edge_to_name.items()}
-    g = grid(n, n)
-    ok, why = validate_expressive_minor(g, d, emm)
+    ok, why = validate_expressive_minor(grid(n, n), d, emm)
     if not ok:
         raise InvalidInputError(f"expressive minor invalid for the dual: {why}")
 
@@ -930,9 +920,7 @@ def prejigsaw_from_expressive_minor(
 
     grid_edges = _grid_edge_names(n, n)
     named_jedges = jigsaw_named_edges(n, n)
-    pi: dict[str, str] = {}
-    for jv, ge in grid_edges.items():
-        pi[jv] = dual_edge_to_vertex[rho[ge]]
+    pi = {jv: dual_edge_to_vertex[rho[ge]] for jv, ge in grid_edges.items()}
     groups: dict[frozenset, frozenset] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -944,29 +932,22 @@ def prejigsaw_from_expressive_minor(
     for je in sorted(set(named_jedges.values()), key=edge_key):
         region = Hypergraph(h_red.vertices, groups[je])
         # pi is injective (h_red is reduced), so the two ends always differ
-        mem = sorted(je)
-        for i, a in enumerate(mem):
-            for b in mem[i + 1 :]:
-                forbidden = pi_image - {pi[a], pi[b]}
-                p = _shortest_path(region, pi[a], pi[b], forbidden)
-                if p is None:
-                    raise ConstructionError(
-                        f"no region path between corners {a} and {b}"
-                    )
-                paths[(a, b)] = p
+        for a, b in combinations(sorted(je), 2):
+            forbidden = pi_image - {pi[a], pi[b]}
+            p = _shortest_path(region, pi[a], pi[b], forbidden)
+            if p is None:
+                raise ConstructionError(f"no region path between corners {a} and {b}")
+            paths[(a, b)] = p
 
     keep = pi_image | {v for p in paths.values() for v in p.path_vertices}
     steps: list = [DeleteVertex(v) for v in sorted(h_red.vertices - keep)]
     cur = _apply_dropping_empty_edge(h_red, steps)
 
-    restricted_groups: dict[frozenset, frozenset] = {}
-    seen_edges: set[frozenset] = set()
-    for je, region in groups.items():
-        rg = frozenset(e & cur.vertices for e in region) - {frozenset()}
-        if rg & seen_edges:
-            raise ConstructionError("restricted regions collide between jigsaw edges")
-        seen_edges |= rg
-        restricted_groups[je] = rg
+    # regions that collide once restricted fail the overlap check below
+    restricted_groups = {
+        je: frozenset(e & cur.vertices for e in region) - {frozenset()}
+        for je, region in groups.items()
+    }
     restricted_paths = {
         key: Path(p.path_vertices, tuple(e & cur.vertices for e in p.path_edges))
         for key, p in paths.items()

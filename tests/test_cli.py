@@ -10,21 +10,30 @@ import hgdilute
 
 from hgdilute.cli import main
 from hgdilute.cq import evaluate, project
-from hgdilute.dilution import DEFAULT_SEARCH_BUDGET
+from hgdilute.dilution import DEFAULT_SEARCH_BUDGET, apply_sequence, reduce_hypergraph
 from hgdilute.formats import (
+    auto_edge_names,
     parse_database,
     parse_hypergraph,
+    parse_prejigsaw,
     parse_query,
     parse_rename,
     parse_sequence,
     parse_solutions,
+    write_expressive,
     write_hypergraph,
     write_minor_map,
     write_sequence,
 )
 from hgdilute.generators import grid, jigsaw, mesh
-from hgdilute.minors import decide_dilution, minor_piece
-from hgdilute.hypergraph import Hypergraph, isomorphic
+from hgdilute.minors import (
+    decide_dilution,
+    expressive_from_minor,
+    find_grid_minor,
+    minor_piece,
+    validate_prejigsaw,
+)
+from hgdilute.hypergraph import Hypergraph, dual_with_map, isomorphic
 
 
 def run(tmp_path, *argv):
@@ -126,6 +135,12 @@ class TestStructureCommands:
         src = tmp_path / "h.hg"
         src.write_text("not a line\n")
         assert main(["dual", str(src)]) == 2
+
+    def test_repeated_json_key_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "h.json"
+        src.write_text('{"vertices": ["a"], "vertices": ["b"], "edges": []}')
+        assert main(["dual", str(src)]) == 2
+        assert capsys.readouterr().err == "error: bad JSON: repeated key 'vertices'\n"
 
     @pytest.mark.parametrize("command", [["dual"], ["width", "--kind", "ghw"]])
     def test_one_name_for_two_edges_exit_2(self, tmp_path, command, capsys):
@@ -289,6 +304,33 @@ class TestExtractCommands:
              "--witness-out", str(wit_out)]
         ) == 0
         assert "dims 2 2" in wit_out.read_text()
+
+    def test_prejigsaw_extract_witness_in(self, tmp_path, capsys):
+        # the expressive witness names its maps by the dual of the reduced host
+        h = mesh(4, 4)
+        d, _ = dual_with_map(reduce_hypergraph(h)[0])
+        emm = expressive_from_minor(grid(2, 2), d, find_grid_minor(d, 2))
+        src, wit_in = tmp_path / "m.hg", tmp_path / "e.wit"
+        src.write_text(write_hypergraph(h))
+        wit_in.write_text(write_expressive(emm, auto_edge_names(d)))
+        seq_out, wit_out = tmp_path / "p.dseq", tmp_path / "p.wit"
+        assert main(
+            ["prejigsaw-extract", str(src), "-n", "2", "--witness-in", str(wit_in),
+             "--seq-out", str(seq_out), "--witness-out", str(wit_out)]
+        ) == 0
+        p = apply_sequence(h, parse_sequence(seq_out.read_text()))
+        assert capsys.readouterr().out == (
+            f"dilutes to a 2x2 pre-jigsaw with {len(p.vertices)} vertices\n"
+        )
+        witness = parse_prejigsaw(wit_out.read_text(), auto_edge_names(p))
+        assert validate_prejigsaw(p, 2, 2, witness).valid
+
+    def test_prejigsaw_extract_negative(self, tmp_path, capsys):
+        # a path: the dual of its reduced form has two vertices, no 2x2 grid
+        src = tmp_path / "path.hg"
+        src.write_text("e1(a,b)\ne2(b,c)\n")
+        assert main(["prejigsaw-extract", str(src), "-n", "2"]) == 1
+        assert capsys.readouterr().out == "no 2x2 grid minor in the dual\n"
 
     @pytest.fixture
     def two_meshes(self, tmp_path):

@@ -325,12 +325,49 @@ class TestMalformedInput:
             (parse_rename, "a -> c\nb -> d\na -> c\n"),
             (parse_solutions, "% vars: x x\nsol(a,b).\n"),
             (parse_solutions, '{"vars": ["x", "x"], "solutions": [["a", "b"]]}'),
+            (parse_solutions, "% vars: x\n% vars: y\nsol(a).\n"),
         ],
     )
     def test_no_name_lost(self, parse, text):
         # an empty, spaced or repeated name would be dropped or overwritten
         with pytest.raises(ParseError):
             parse(text)
+
+    @pytest.mark.parametrize(
+        "parse, args, text, key",
+        [
+            (
+                parse_hypergraph,
+                (),
+                '{"vertices": ["a"], "edges": [],'
+                ' "edges": [{"name": "e1", "vertices": ["a"]}]}',
+                "edges",
+            ),
+            (parse_rename, (), '{"rename": {"a": "b", "a": "c"}}', "a"),
+            (parse_minor_map, (), '{"branch_sets": {"x": ["a"], "x": ["b"]}}', "x"),
+            (parse_database, (), '{"relations": {"R": [["a"]], "R": [["b"]]}}', "R"),
+            (
+                parse_prejigsaw,
+                ({"e1": frozenset({"h1_1"})},),
+                '{"dims": [1, 2], "pi": {"h1_1": "h1_1", "h1_1": "h1_1"},'
+                ' "o": {"e1_1": ["e1"]}, "paths": []}',
+                "h1_1",
+            ),
+            (
+                parse_prejigsaw,
+                ({"e1": frozenset({"h1_1"})},),
+                '{"dims": [1, 2], "pi": {"h1_1": "h1_1"},'
+                ' "o": {"e1_1": ["e1"], "e1_1": ["e1"]}, "paths": []}',
+                "e1_1",
+            ),
+        ],
+        ids=["top-level", "rename", "branch_sets", "relations", "pi", "o"],
+    )
+    def test_repeated_json_key(self, parse, args, text, key):
+        # each document is valid but for the repeat, whose first entry the
+        # JSON reader would silently overwrite
+        with pytest.raises(ParseError, match=f"repeated key '{key}'"):
+            parse(text, *args)
 
     @pytest.mark.parametrize(
         "text",

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from hgdilute.errors import BudgetExceededError, ConstructionError, InvalidInput
 from hgdilute.generators import grid, jigsaw, mesh, random_hypergraph, subdivided_jigsaw
 from hgdilute.hypergraph import (
     Hypergraph,
+    Path,
     _adjacency,
     _circuit_rank,
     _edge_count,
@@ -61,6 +63,34 @@ from conftest import sample_hypergraph
 
 def H(*edges, extra=()):
     return Hypergraph.make([set(e) for e in edges], vertices=extra)
+
+
+def _reassign(emm, **edges):
+    """emm with the pattern edge ``xy`` of each keyword sent to its value."""
+    rho = emm.rho_dict() | {frozenset(k): frozenset(v) for k, v in edges.items()}
+    return ExpressiveMinorMap.of(emm.mu, rho)
+
+
+def _recorner(w, **corners):
+    return replace(w, corners=tuple(sorted((w.corner_dict() | corners).items())))
+
+
+def _regroup(w, i, add=frozenset(), drop=frozenset()):
+    """w with host edges added to and one dropped from its i-th edge group."""
+    je, group = w.edge_groups[i]
+    groups = list(w.edge_groups)
+    groups[i] = je, (group | add) - {drop}
+    return replace(w, edge_groups=tuple(groups))
+
+
+def _repath(w, a, b, *vertices):
+    """w with the fixed path of corners a, b through ``vertices``, each step
+    along the edge of its two ends."""
+    edges = tuple(frozenset(p) for p in zip(vertices, vertices[1:]))
+    return replace(w, fixed_paths=tuple(
+        ((x, y), Path(vertices, edges) if (x, y) == (a, b) else p)
+        for (x, y), p in w.fixed_paths
+    ))
 
 
 def graph_dual(h):
@@ -1032,6 +1062,47 @@ class TestExpressiveMinors:
         )
         assert validate_expressive_minor(g, host, emm)[0]
 
+    @pytest.mark.parametrize(
+        "mutate, reason",
+        [
+            (
+                lambda host, emm: (host, replace(emm, mu=MinorMap.of(
+                    {"a": {"1"}, "b": {"3", "4"}, "c": {"5"}}
+                ))),
+                "branch sets do not cover exactly the pattern vertices",
+            ),
+            (
+                lambda host, emm: (host, replace(emm, rho=emm.rho[:2])),
+                "edge assignment does not cover exactly the pattern edges",
+            ),
+            (
+                lambda host, emm: (host, _reassign(emm, bd="13")),
+                "edge assignment is not injective",
+            ),
+            (
+                lambda host, emm: (host, _reassign(emm, bd="35")),
+                "edge assignment leaves the host",
+            ),
+            (
+                lambda host, emm: (host, _reassign(emm, bc="36", bd="45")),
+                "assigned edge for b-c does not connect the branch sets",
+            ),
+            (
+                # the branch set of b holds together only through bd's edge
+                lambda host, emm: (H("13", "45", "346"), _reassign(emm, bd="346")),
+                "assigned edges of incident pattern edges ['a', 'b']/['b', 'c'] "
+                "only connect through assigned edges",
+            ),
+        ],
+        ids=["minor-map", "cover", "injective", "host", "connect", "link"],
+    )
+    def test_each_rejection(self, mutate, reason):
+        g, host = H("ab", "bc", "bd"), H("13", "34", "45", "36")
+        mm = MinorMap.of({"a": {"1"}, "b": {"3", "4"}, "c": {"5"}, "d": {"6"}})
+        emm = expressive_from_minor(g, host, mm)
+        assert validate_expressive_minor(g, host, emm) == (True, None)
+        assert validate_expressive_minor(g, *mutate(host, emm)) == (False, reason)
+
     def test_blocked_path_detected(self):
         # rank-3 host: the only bridge between the first two assigned edges
         # is itself assigned, so the inter-edge path condition fails
@@ -1068,6 +1139,75 @@ class TestPreJigsaw:
         )
         rep = validate_prejigsaw(jigsaw(2, 2), 2, 2, bad)
         assert not rep.valid and "overlap" in rep.reason
+
+    @pytest.mark.parametrize(
+        "mutate, reason",
+        [
+            (lambda h, w: (h, replace(w, rows=3)), "witness dimensions disagree"),
+            (
+                lambda h, w: (h, replace(w, corners=w.corners[1:])),
+                "corner map does not cover exactly the jigsaw vertices",
+            ),
+            (
+                lambda h, w: (h, _recorner(w, h1_1="stray")),
+                "corner map leaves the host",
+            ),
+            (
+                lambda h, w: (h, replace(w, edge_groups=w.edge_groups[1:])),
+                "edge groups do not cover exactly the jigsaw edges",
+            ),
+            (
+                lambda h, w: (h, _regroup(w, 0, add={frozenset({"h1_1", "v1_1"})})),
+                "group of ['h1_1', 'v1_1'] contains non-edges",
+            ),
+            (
+                lambda h, w: (h, _regroup(w, 1, add=w.edge_groups[0][1])),
+                "group of ['h1_1', 'v1_2'] overlaps another group",
+            ),
+            (
+                lambda h, w: (h, _regroup(w, 0, drop=frozenset({"h1_1", "se1_1_1"}))),
+                "groups do not exhaust the host edges",
+            ),
+            (
+                lambda h, w: (h, replace(w, fixed_paths=w.fixed_paths[1:])),
+                "fixed paths do not cover exactly the same-edge corner pairs",
+            ),
+            (
+                lambda h, w: (h, _repath(w, "h1_1", "v1_1", "h1_1", "v1_1")),
+                "fixed path h1_1,v1_1: path edge not in hypergraph",
+            ),
+            (
+                lambda h, w: (h, _repath(w, "h1_1", "v1_1", "h1_1", "se1_1_1")),
+                "fixed path h1_1,v1_1 does not join the mapped corners",
+            ),
+            (
+                # the long way round, through the other three regions
+                lambda h, w: (h, _repath(
+                    w, "h1_1", "v1_1", "h1_1", "se1_2_1", "v1_2", "se2_2_1",
+                    "h2_1", "se2_1_1", "v1_1",
+                )),
+                "fixed path h1_1,v1_1 uses edges outside its group",
+            ),
+            (
+                lambda h, w: (h, _recorner(w, v1_2="se1_1_1")),
+                "fixed path h1_1,v1_1 passes through a mapped corner",
+            ),
+            (
+                lambda h, w: (Hypergraph(h.vertices | {"stray"}, h.edges), w),
+                "some host vertex is neither a corner nor on a fixed path",
+            ),
+        ],
+        ids=[
+            "dims", "corners", "corner-host", "groups", "non-edge", "overlap",
+            "exhaust", "paths", "path-check", "ends", "outside", "through", "uncovered",
+        ],
+    )
+    def test_each_rejection(self, mutate, reason):
+        h, w = subdivided_jigsaw(2, 2, 1)
+        assert validate_prejigsaw(h, 2, 2, w).valid
+        h, w = mutate(h, w)
+        rep = validate_prejigsaw(h, 2, 2, w)
+        assert (rep.valid, rep.reason) == (False, reason)
 
     def test_uncovered_vertex_invalid(self):
         h, w = subdivided_jigsaw(2, 2, 1)

@@ -8,6 +8,7 @@ when each worked the step out for itself, on named step functions of their
 own, so the tests pin the readers to the same outputs.
 """
 
+import itertools
 import random
 import re
 
@@ -22,7 +23,6 @@ from hgdilute.cq import (
     Database,
     DilutionReduction,
     _FRESH_RE,
-    _SymbolGen,
     _atom_by_edge,
     _fresh_constant,
     eliminate_self_joins,
@@ -140,7 +140,7 @@ def ref_reduce_along_dilution(q, d, h, seq):
     referenced = {a.relation for a in cur_q.atoms}
     rels = d1.relations_dict()
     cur_d = Database.of({s: rows for s, rows in rels.items() if s in referenced})
-    symgen = _SymbolGen(set(rels))
+    symgen = (f"P{i}" for i in itertools.count(1) if f"P{i}" not in rels)
     sizes = [cur_d.size()]
     for idx in range(len(seq.steps) - 1, -1, -1):
         cur_q, cur_d = ref_reverse_step(cur_q, cur_d, states[idx], seq.steps[idx], symgen)
@@ -164,7 +164,7 @@ def ref_reverse_step(q, d, prev_h, step, symgen):
             new_rels[a.relation] = rels[a.relation]
         for e in incident:
             base = atoms[e - {v}]
-            sym = symgen.next()
+            sym = next(symgen)
             new_atoms.append(Atom(sym, base.args + (v,)))
             new_rels[sym] = tuple(
                 sorted(row + (_fresh_constant(0),) for row in rels[base.relation])
@@ -188,7 +188,7 @@ def ref_reverse_step(q, d, prev_h, step, symgen):
         for e in incident:
             args = tuple(sorted(e - {v})) + (v,)
             cols = [pos[var] for var in args]
-            sym = symgen.next()
+            sym = next(symgen)
             new_atoms.append(Atom(sym, args))
             new_rels[sym] = tuple(sorted({tuple(row[c] for c in cols) for row in extended}))
         return ConjunctiveQuery(tuple(new_atoms)), Database.of(new_rels)
@@ -198,7 +198,7 @@ def ref_reverse_step(q, d, prev_h, step, symgen):
     pos = {var: i for i, var in enumerate(host.args)}
     args = tuple(sorted(f))
     cols = [pos[var] for var in args]
-    sym = symgen.next()
+    sym = next(symgen)
     new_rels = dict(rels)
     new_rels[sym] = tuple(sorted({tuple(row[c] for c in cols) for row in rels[host.relation]}))
     return ConjunctiveQuery(tuple(q.atoms) + (Atom(sym, args),)), Database.of(new_rels)
