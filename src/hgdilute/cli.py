@@ -63,11 +63,21 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _budget(text: str) -> int:
-    """A search budget, from ``--budget`` or ``HGDILUTE_BUDGET``."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"budget must be an integer >= 0, got {text!r}")
-    return int(text)
+def _count(what: str):
+    """The parser of an integer >= 0; ``what`` names it in the error."""
+
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal():
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer >= 0, got {text!r}"
+            )
+        return int(text)
+
+    return parse
+
+
+_budget = _count("budget")  # from ``--budget`` or ``HGDILUTE_BUDGET``
+_limit = _count("limit")
 
 
 def _read(path: str) -> str:
@@ -418,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("tw", "ghw"), required=True)
     p.add_argument("hypergraph")
     p.add_argument("--witness-out")
-    p.add_argument("--max-vertices", type=int, default=None)
+    p.add_argument("--max-vertices", type=_limit, default=None)
     p.set_defaults(func=_cmd_width)
 
     p = sub.add_parser(
@@ -470,12 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("core", help="minimal homomorphically equivalent query")
     p.add_argument("query")
     p.add_argument("-o", "--output")
-    p.add_argument("--max-vars", type=int, default=DEFAULT_CORE_VAR_LIMIT)
+    p.add_argument("--max-vars", type=_limit, default=DEFAULT_CORE_VAR_LIMIT)
     p.set_defaults(func=_cmd_core)
 
     p = sub.add_parser("sghw", help="cover width of the query core")
     p.add_argument("query")
-    p.add_argument("--max-vars", type=int, default=DEFAULT_CORE_VAR_LIMIT)
+    p.add_argument("--max-vars", type=_limit, default=DEFAULT_CORE_VAR_LIMIT)
     p.set_defaults(func=_cmd_sghw)
 
     p = sub.add_parser("suite", help="run the acceptance batteries")

@@ -23,7 +23,15 @@ a set that cannot beat that order is never expanded: most inputs visit a few
 percent of the 2^n sets, and the recursion is at most one frame per vertex
 deep; the first cutoff is one above the min-degree order's cost (Gogate and
 Dechter, UAI 2004).  A set's elimination bags are its parent's after one step
-of the elimination game, the step the min-degree order plays too.  The cover
+of the elimination game, the step the min-degree order plays too.  Before the
+DP starts, the oracles eliminate simplicial vertices (whose neighbours form a
+clique), least index first, until none is left, and the DP starts from the set
+removed: for a subset-monotone cost f and a simplicial v, opt(G) =
+max(f(N[v]), opt(G - v)), since eliminating v adds no fill and any order's
+first vertex of N[v] has a bag holding all of N[v] (Bodlaender, Koster and van
+den Eijkhof, Comput. Intell. 2005).  Both costs are monotone, the cover number
+capped at the cutoff too.  Leaves and vertices in a single edge are simplicial,
+so on sparse inputs the DP runs on far fewer vertices.  The cover
 number of a bag mask is memoised per mask and filled under the same cutoff,
 and each witness cover is read off that memo: the edges are walked in
 ``edge_key`` order and an edge is kept when it meets what is left of the bag
@@ -181,7 +189,38 @@ def _eliminate_vertex(bags: list[int], b: int) -> None:
         bags[i] = bags[i] ^ b | rest
 
 
-def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int]]:
+_Prefix = tuple[int, list[int], list[int], list[int]]
+
+
+def _simplicial_prefix(adj: list[int]) -> _Prefix:
+    """Eliminate simplicial vertices, always the least index first, until
+    none is left.  A vertex is simplicial when its neighbours form a clique,
+    that is, when its bag lies inside the bag of each of its neighbours; its
+    elimination adds no fill, so it only drops it from its neighbours' bags.
+    Returns the set removed, the prefix order, its bags and the bags left
+    for the DP (``_eliminate``'s ``prefix``)."""
+    bags = [a | 1 << v for v, a in enumerate(adj)]
+    removed, order, chosen = 0, [], []
+    v = 0
+    while v < len(bags):
+        bag, b = bags[v], 1 << v
+        if removed & b or any(bag & ~bags[u] for u in _bits(bag ^ b)):
+            v += 1
+            continue
+        removed |= b
+        order.append(v)
+        chosen.append(bag)
+        _eliminate_vertex(bags, b)
+        # of the vertices below v only a neighbour of v can have turned
+        # simplicial, so the scan resumes at the least of them
+        rest = bag ^ b
+        v = min(v + 1, (rest & -rest).bit_length() - 1) if rest else v + 1
+    return removed, order, chosen, bags
+
+
+def _eliminate(
+    adj: list[int], cost, top: int, prefix: _Prefix | None = None
+) -> tuple[int, list[int], list[int]]:
     """Elimination order minimising the max bag cost, by a subset DP on masks.
 
     best[P] is the least max bag cost of eliminating the rest once the set P
@@ -204,6 +243,16 @@ def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int
     more only needs to be at least ``top``.  The recursion is at most n + 1
     frames deep.  The worst case still visits all 2^n sets.  Returns the
     width, the order and the order's bags.
+
+    Given a ``prefix`` from ``_simplicial_prefix``, the DP starts from the
+    set it removed and the bags it left, and the order is the prefix
+    followed by the DP's order, the oracle's walk from that set.  The width
+    is unchanged only for a subset-monotone cost, so only such a cost may
+    come with a prefix: eliminating a simplicial vertex v first costs
+    f(N[v]), and every order pays that much anyway, as the first vertex of
+    N[v] it eliminates has a bag holding all of N[v]; so opt(G) =
+    max(f(N[v]), opt(G - v)) (Bodlaender, Koster and van den Eijkhof,
+    Comput. Intell. 2005).  Without one the DP starts from the empty set.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -240,10 +289,12 @@ def _eliminate(adj: list[int], cost, top: int) -> tuple[int, list[int], list[int
             floor[P] = k
         return value
 
-    width = solve(0, top, [a | 1 << v for v, a in enumerate(adj)], 0)
+    if prefix is None:
+        prefix = 0, [], [], [a | 1 << v for v, a in enumerate(adj)]
+    P, order, bags, left = prefix
+    order, bags = order.copy(), bags.copy()
+    width = max([solve(P, top, left, 0), *map(cost, bags)])
     del solve  # the closure refers to itself; drop the cycle with the memo
-    order, bags = [], []
-    P = 0
     while P != full:
         v, bag = pick[P]
         order.append(v)
@@ -273,6 +324,17 @@ def _min_degree_width(adj: list[int]) -> int:
     """Treewidth upper bound: the widest min-degree bag less one, -1 for no
     vertices."""
     return max(map(int.bit_count, _min_degree_bags(adj)[1]), default=0) - 1
+
+
+def _treewidth_order(adj: list[int]) -> tuple[int, list[int], list[int]]:
+    """Exact treewidth of the graph with neighbour masks ``adj``, with an
+    optimal elimination order and its bags: the DP on bag sizes, cut off one
+    above the min-degree order's largest bag and started after the
+    simplicial prefix."""
+    size, order, bags = _eliminate(
+        adj, int.bit_count, _min_degree_width(adj) + 2, _simplicial_prefix(adj)
+    )
+    return size - 1, order, bags
 
 
 def _td_from_order(
@@ -318,10 +380,7 @@ def exact_treewidth(
         td = TreeDecomposition(("t1",), (("t1", None),), (("t1", frozenset()),))
         return WidthReport("tw", -1, "t1"), td
     verts, (n, masks) = h._index_form
-    adj = _adjacency(n, masks)
-    # the bag size is the cost; the width is one less
-    size, order, bags = _eliminate(adj, int.bit_count, _min_degree_width(adj) + 2)
-    width = size - 1
+    width, order, bags = _treewidth_order(_adjacency(n, masks))
     td = _td_from_order(verts, order, bags)
     ok, why = validate_td(h, td)
     if not ok:  # construction invariant
@@ -471,7 +530,10 @@ def exact_ghw(
     cover = _CappedCovers(masks, len(covered), len(covered) + 1)  # exact
     top = 1 + max([cover[bag] for bag in _min_degree_bags(adj)[1]])
     cover.cap = top  # every number read so far lies below it
-    width, order, bags = _eliminate(adj, cover.__getitem__, top)
+    # capped at the cutoff, cover numbers stay monotone
+    width, order, bags = _eliminate(
+        adj, cover.__getitem__, top, _simplicial_prefix(adj)
+    )
     td = _td_from_order(covered, order, bags)
     covers = tuple(
         (name, frozenset(edges[i] for i in _read_cover(masks, cover, bag)))

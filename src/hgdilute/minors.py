@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .decomposition import DEFAULT_TW_VERTEX_LIMIT, _eliminate, _min_degree_width
+from .decomposition import DEFAULT_TW_VERTEX_LIMIT, _min_degree_width, _treewidth_order
 from .dilution import (
     DEFAULT_SEARCH_BUDGET,
     DeleteVertex,
@@ -274,7 +274,7 @@ class _Pattern(_Plan):
 
     @cached_property
     def treewidth(self) -> int:
-        return _eliminate(self.adj, int.bit_count, self.min_degree_width + 2)[0] - 1
+        return _treewidth_order(self.adj)[0]
 
 
 class _Host(_Plan):

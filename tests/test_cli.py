@@ -495,6 +495,24 @@ class TestBudgets:
         assert "budget must be an integer >= 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("width", "--max-vertices"), ("core", "--max-vars"), ("sghw", "--max-vars")],
+    )
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_limit_exit_2(self, tmp_path, capsys, command, flag, value):
+        # a usage error before any input is read
+        path = tmp_path / "in.txt"
+        path.write_text("e(a,b)\n" if command == "width" else "R(x,y)\n")
+        kind = ["--kind", "tw"] if command == "width" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *kind, str(path), flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: hgdilute {command}")
+        assert f"argument {flag}: limit must be an integer >= 0, got {value!r}" in err
+
+
 class TestSuiteCommand:
     def test_quick_suite(self, capsys):
         assert main(["suite", "--quick", "--only", "6,8,11"]) == 0

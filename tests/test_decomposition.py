@@ -557,6 +557,126 @@ class TestEliminateMatchesOracle:
         assert calls < 2**15
 
 
+def is_simplicial(adj, P, v):
+    """Whether v's neighbours form a clique once P is eliminated, read off
+    the flooded bags: v's bag lies inside each neighbour's."""
+    bag = flood_bag(adj, P, v)
+    return all(
+        bag & ~flood_bag(adj, P, u) == 0 for u in range(len(adj)) if bag >> u & 1
+    )
+
+
+def oracle_walk_from(adj, cost, P):
+    """The oracle's width, pick walk and bags from the set P, if eliminating
+    P first adds no fill: the oracle's table on the sets holding P is then
+    its table on the graph less P, with vertices kept in index order."""
+    keep = [v for v in range(len(adj)) if not P >> v & 1]
+
+    def widen(m):
+        return sum(1 << v for i, v in enumerate(keep) if m >> i & 1)
+
+    sub = [sum(1 << i for i, u in enumerate(keep) if adj[v] >> u & 1) for v in keep]
+    width, order, bags = oracle_eliminate(sub, lambda m: cost(widen(m)))
+    return width, [keep[i] for i in order], [widen(b) for b in bags]
+
+
+def assert_prefix_matches_oracle(h):
+    """The simplicial prefix removes, least index first, vertices simplicial
+    when eliminated, until none is; both oracles' DP after it keeps the full
+    oracle's width and the oracle's pick walk from the prefix set."""
+    widths = []
+    for adj, fresh_cost in elimination_cases(h):
+        P, head, head_bags, left = prefix = decomposition._simplicial_prefix(adj)
+        gone = 0
+        for v, bag in zip(head, head_bags):
+            assert is_simplicial(adj, gone, v) and bag == flood_bag(adj, gone, v)
+            assert not any(
+                is_simplicial(adj, gone, u) for u in range(v) if not gone >> u & 1
+            )
+            gone |= 1 << v
+        assert gone == P
+        kept = [v for v in range(len(adj)) if not P >> v & 1]
+        assert not any(is_simplicial(adj, P, v) for v in kept)
+        assert all(left[v] == flood_bag(adj, P, v) for v in kept)
+        width, _, _ = oracle_eliminate(adj, fresh_cost())
+        seed = 1 + max(map(fresh_cost(), decomposition._min_degree_bags(adj)[1]), default=-1)
+        got = decomposition._eliminate(adj, fresh_cost(seed), seed, prefix)
+        rest, walk, walk_bags = oracle_walk_from(adj, fresh_cost(), P)
+        assert got == (width, head + walk, head_bags + walk_bags)
+        assert width == max([rest, *map(fresh_cost(), head_bags)])
+        widths.append(width)
+    tw, td = exact_treewidth(h)
+    assert validate_td(h, td) == (True, None)
+    ghw, ghd = exact_ghw(h)
+    assert validate_ghd(h, ghd) == (True, None)
+    # no vertex has treewidth -1, and no covered vertex cover width 0
+    assert (tw.width, ghw.width) == (max(widths[0] - 1, -1), max(widths[1], 0))
+
+
+def counted_bag_costs(monkeypatch, run):
+    """The bag costs ``_eliminate`` reads while ``run()`` runs."""
+    calls = 0
+    eliminate = decomposition._eliminate
+
+    def counting(adj, cost, top, prefix=None):
+        def counted(bag):
+            nonlocal calls
+            calls += 1
+            return cost(bag)
+
+        return eliminate(adj, counted, top, prefix)
+
+    monkeypatch.setattr(decomposition, "_eliminate", counting)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+class TestSimplicialPrefix:
+    """The DP after the simplicial prefix keeps every width of the full DP."""
+
+    @given(small_hypergraphs())
+    @settings(max_examples=100)
+    def test_small_hypergraphs(self, h):
+        assert_prefix_matches_oracle(h)
+
+    def test_width_corpus(self):
+        for h in width_corpus():
+            assert_prefix_matches_oracle(h)
+
+    def test_prunes_width_corpus(self, monkeypatch):
+        # without the prefix: 8,989 bag costs for treewidth and 13,698 for
+        # cover width, with the same widths
+        graphs = width_corpus()
+        tw = counted_bag_costs(
+            monkeypatch, lambda: [exact_treewidth(h) for h in graphs[:20]]
+        )
+        ghw = counted_bag_costs(
+            monkeypatch, lambda: [exact_ghw(h) for h in graphs[20:] + [jigsaw(3, 3)]]
+        )
+        assert (tw, ghw) == (1927, 3457)
+
+    @pytest.mark.parametrize("name", ["path", "complete"])
+    def test_settled_by_prefix_alone(self, name):
+        # every vertex goes in the prefix, so the DP expands no set: the
+        # only bag costs read are the prefix's own
+        h = sixteen_vertex_graphs()[name]
+        for adj, fresh_cost in elimination_cases(h):
+            prefix = decomposition._simplicial_prefix(adj)
+            assert prefix[0] == (1 << 16) - 1
+            costed = []
+            cost = fresh_cost()
+            got = decomposition._eliminate(
+                adj, lambda bag: costed.append(bag) or cost(bag), len(adj) + 1, prefix
+            )
+            assert got[1:] == (prefix[1], prefix[2])
+            assert costed == prefix[2]
+        if name == "path":
+            assert exact_treewidth(h)[0].width == 1 and exact_ghw(h)[0].width == 1
+        else:
+            assert exact_treewidth(h)[0].width == 15 and exact_ghw(h)[0].width == 8
+
+
 def min_degree_width(h):
     return decomposition._min_degree_width(_adjacency(*h._index_form[1]))
 

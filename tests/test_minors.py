@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ import hgdilute.acceptance as acceptance
 import hgdilute.dilution as dilution
 import hgdilute.minors as minors
 from hgdilute.acceptance import _connected_graphs_upto, _degree2_corpus
+from hgdilute.decomposition import exact_treewidth
 from hgdilute.dilution import (
     DilutionSequence,
     MergeOn,
@@ -352,6 +355,16 @@ class TestAbsenceCertificates:
         g = H("ae", "bd", "ab", "bc", "df", "cd", "de", "cf", "af", "ce")
         assert not _wider(_pattern(g), _host(grid(3, 3)))  # host bound 3
         assert _wider(_pattern(g), _host(grid(2, 7)))  # host bound 2
+
+    def test_pattern_treewidth_is_the_oracles(self):
+        corpus = pathlib.Path(__file__).parents[1] / "perfbench" / "degree2_corpus.json"
+        patterns = [
+            Hypergraph.make(p["edges"], p["vertices"])
+            for p in json.loads(corpus.read_text())["patterns"]
+        ]
+        assert len(patterns) == 31
+        for g in patterns + [grid(3, 3), grid(3, 4), grid(4, 4)]:
+            assert minors._Pattern(g).treewidth == exact_treewidth(g)[0].width
 
     def test_circuit_rank_counts_components(self):
         # two triangles and an isolated vertex: 6 - 7 + 3
