@@ -413,12 +413,12 @@ def _children(form: tuple, target: tuple | None = None, cap: int | None = None):
     ``_index_steps`` in its order: yields ``(kind, x, child n, child
     edges)``, unlabelled.
 
-    With a ``target``, its vertex and edge count and ``_invariants``, a
-    child with fewer vertices or edges is dropped; one with more than
-    ``cap`` vertices is yielded with edges None, so that the caller sees
-    its bound cut something.  Deleting or merging on vertex x squeezes bit
-    x out of every mask, so each child is already in its own
-    order-preserving index form.
+    With a ``target`` (its vertex and edge count, ``_invariants`` and
+    verdict table, as ``search_dilution`` builds it), a child with fewer
+    vertices or edges is dropped; one with more than ``cap`` vertices is
+    yielded with edges None, so that the caller sees its bound cut
+    something.  Deleting or merging on vertex x squeezes bit x out of every
+    mask, so each child is already in its own order-preserving index form.
     """
     n, edges, gens = form
     for kind, x in _index_steps(n, edges, gens):
@@ -450,9 +450,18 @@ def _label(n: int, edges: frozenset, target: tuple | None = None):
     """The certificate and generators of the index form ``(n, edges)``, or
     None when it fails the ``_may_reach`` cut of a ``target``.  The
     labelling comes from ``_canonical_index``, whose cache holds every form
-    labelled before, so a sweep keeps no table of its own."""
-    if target is not None and not _may_reach(n, edges, target[2]):
-        return None
+    labelled before, so a sweep keeps no table of labellings.  The cut's
+    verdict on each form is kept in the target's own table, ``target[3]``,
+    so a search that meets a form again, from another parent or in a later
+    contour, does not work its invariants out again."""
+    if target is not None:
+        verdicts = target[3]
+        # the vertex count is part of the key: isolated vertices change degrees
+        ok = verdicts.get((n, edges))
+        if ok is None:
+            ok = verdicts[n, edges] = _may_reach(n, edges, target[2])
+        if not ok:
+            return None
     cert, _, gens = _canonical_index((n, tuple(sorted(edges))), DEFAULT_ISO_BUDGET)
     return cert, gens
 
@@ -514,7 +523,8 @@ def search_dilution(
     if src_cert == target_cert:
         return DilutionSequence.for_source(h_src, ())
     t_n, t_masks = h_target._index_form[1]
-    target = t_n, len(t_masks), _invariants(t_n, t_masks)
+    # the cut's verdicts are kept for this search only, across its contours
+    target = t_n, len(t_masks), _invariants(t_n, t_masks), {}
     if n < t_n or len(masks) < target[1] or not _may_reach(n, masks, target[2]):
         return None
     src_form = n, frozenset(masks), src_gens

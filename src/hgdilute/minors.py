@@ -33,7 +33,9 @@ Each plan of the search is built once and kept in a small cache keyed on
 the hypergraph: a pattern's placement order, position adjacency, certificate
 counts and fitting tables, and a host's masks, certificate counts and
 connected subsets.  Many patterns asked of one host, as in the degree-2
-sweep, then share one host plan, and each pattern is prepared once.
+sweep, then share one host plan, and each pattern is prepared once.  A
+failed build is not cached and raises again on every call, as with the
+plans of ``cq``.
 
 ``jigsaw_from_grid_minor`` turns a minor of any connected pattern graph g in
 the dual of a degree-2 hypergraph into an explicit dilution sequence onto

@@ -578,3 +578,17 @@ class TestSemanticWidth:
         q = Q(("R", "xy"), ("R", "yz"), ("S", "zx"), ("S", "uu"))
         core = compute_core(q)
         assert semantic_ghw(q).width == exact_ghw(hypergraph_of(core))[0].width
+
+
+class TestQueryReadings:
+    """``count`` reads every variable as free, the core functions read every
+    variable as existential, so a query and its core may count differently."""
+
+    def test_free_count_and_existential_core(self):
+        q = Q(("E", "xy"), ("E", "xz"))
+        d = Database.of({"E": [("a", "b"), ("a", "c"), ("b", "c")]})
+        assert count(q, d) == 5
+        core = compute_core(q)
+        assert core == Q(("E", "xz"))
+        assert count(core, d) == 3
+        assert homomorphically_equivalent(q, core)
