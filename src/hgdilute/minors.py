@@ -22,20 +22,21 @@ up to the largest size a branch set can have.  No cut removes a branch
 that holds a model, so the first model found is the one the plain search
 finds.  On 12-16-vertex hosts
 (relabelled grids, duals of meshes and jigsaws) it finds a 2x2, 3x3 or 4x4
-grid in at most 0.1 s, and the treewidth certificate proves that no 3x3 or
+grid in at most 0.07 s, and the treewidth certificate proves that no 3x3 or
 4x4 grid lies in a 2 x k grid (``grid(2, 7)`` took 2.47e6 attempts before)
 in under 1 ms.  Absences that no certificate settles are proved by the
-search on random 12- and 14-vertex hosts in at most 0.46 s; on 16 vertices
+search on random 12- and 14-vertex hosts in at most 0.3 s; on 16 vertices
 2 of 20 still outgrow the default 1e6 attempts, which run out after at
-most 2.0 s (timed on a 2-core x86 machine).
+most 1.3 s (timed on a 2-core x86 machine).
 
 Each plan of the search is built once and kept in a small cache keyed on
 the hypergraph: a pattern's placement order, position adjacency, certificate
-counts and fitting tables, and a host's masks, certificate counts and
-connected subsets.  Many patterns asked of one host, as in the degree-2
-sweep, then share one host plan, and each pattern is prepared once.  A
-failed build is not cached and raises again on every call, as with the
-plans of ``cq``.
+counts and fitting tables, and a host's masks, certificate counts, least
+degree, components (the free regions at the first placement), the name set
+of each single vertex (most branch sets of a small witness) and connected
+subsets.  Many patterns asked of one host, as in the degree-2 sweep, then
+share one host plan, and each pattern is prepared once.  A failed build is
+not cached and raises again on every call, as with the plans of ``cq``.
 
 ``jigsaw_from_grid_minor`` turns a minor of any connected pattern graph g in
 the dual of a degree-2 hypergraph into an explicit dilution sequence onto
@@ -282,12 +283,20 @@ class _Pattern(_Plan):
 class _Host(_Plan):
     """Search set-up of a host, shared by every pattern asked of it: sorted
     names and the plan of their neighbour masks (vertex i of ``names`` is
-    bit i); the connected subsets are built when a search first needs them,
-    and only up to the largest size a search has asked for."""
+    bit i), the masks of its components (the free regions before any
+    placement), its least vertex degree, and the name set of each
+    single-vertex mask for the witness.  The connected subsets are built
+    when a search first needs them, and only up to the largest size a
+    search has asked for."""
 
     def __init__(self, host: Hypergraph):
         self.names, (n, masks) = host._index_form
         super().__init__(_adjacency(n, masks))
+        self.pieces = _mask_components(self.adj, (1 << n) - 1)
+        # no vertex: below every pattern's min-degree bound, as the empty
+        # host's own bound (-1) is
+        self.least = self.degrees[-1] if n else -1
+        self.single = {1 << i: frozenset((x,)) for i, x in enumerate(self.names)}
         self.cap, self._subsets = 0, []
 
     def subsets(self, cap: int) -> list[tuple[int, int, int]]:
@@ -310,10 +319,16 @@ def _wider(pattern: _Pattern, host: _Host) -> bool:
     """Whether the pattern's exact treewidth exceeds ``host.min_degree_width``,
     the host's min-degree elimination bound.  The exact subset DP, cut off at
     its running optimum but 2^n in the worst case, runs only when the pattern
-    fits the treewidth limit and its own min-degree bound lies above it."""
-    n, bound = len(pattern.adj), host.min_degree_width
+    fits the treewidth limit and its own min-degree bound lies above it.
+    The host's bound is asked for only when the pattern's lies above the
+    host's least degree: the first min-degree bag is the closed neighbourhood
+    of a least-degree vertex, so the host's bound is at least that degree."""
+    n = len(pattern.adj)
+    if n > DEFAULT_TW_VERTEX_LIMIT or pattern.min_degree_width <= host.least:
+        return False
+    bound = host.min_degree_width
     # a treewidth is at most the vertex count less one
-    if bound >= n - 1 or n > DEFAULT_TW_VERTEX_LIMIT:
+    if bound >= n - 1:
         return False
     return pattern.min_degree_width > bound and pattern.treewidth > bound
 
@@ -366,47 +381,50 @@ def find_minor(
     ):
         return None
 
-    n, names, nbr = len(pattern.names), plan.names, plan.adj
+    n, nbr, pieces = len(pattern.names), plan.adj, plan.pieces
     earlier, later, fits = pattern.earlier, pattern.later, pattern.fits
     # every other pattern vertex takes at least one host vertex
-    subsets = plan.subsets(len(names) - n + 1)
-    everything = (1 << len(names)) - 1
+    subsets = plan.subsets(len(nbr) - n + 1)
+    everything, last = (1 << len(nbr)) - 1, n - 1
     attempts = 0
 
     def place(i: int, used: int, images: list[int], rims: list[int]):
         nonlocal attempts
-        if i == n:
-            return list(images)
         free = everything & ~used
-        limit = free.bit_count() - (n - i - 1)
         # a piece fits a region (a connected piece of the free host) that has
         # room for it, no smaller circuit rank, as the piece is a minor of
         # the region, and touches the image of each of its placed
         # neighbours; the vertex at depth i must go to a region that fits
         # its own piece.  A tree fits any rank, so a region's rank is
         # counted only for a piece with a cycle
-        regions = _mask_components(nbr, free)
-        for k, (size, touch, rank) in enumerate(fits[i]):
-            spot = room = 0
+        regions = _mask_components(nbr, free) if i else pieces
+        limit = free.bit_count() - last + i
+        home = room = 0
+        for size, touch, rank in fits[i]:
+            spot = 0
             for r in regions:
-                if r.bit_count() >= size and (not rank or _piece_rank(nbr, r) >= rank):
+                count = r.bit_count()
+                if count >= size and (not rank or _piece_rank(nbr, r) >= rank):
                     for j in touch:
                         if not r & rims[j]:
                             break
                     else:
                         spot |= r
-                        room = max(room, r.bit_count() - size + 1)
-                        if k:
+                        if home:
                             break  # one region is enough for the others
+                        if count - size >= room:
+                            room = count - size + 1
             if not spot:
                 return None
-            if not k:
-                home, limit = spot, min(limit, room)
-        linked = [images[j] for j in earlier[i]]
+            if not home:
+                home = spot
+        if room < limit:
+            limit = room
+        away, need, linked = ~home, later[i], earlier[i]
         for s, around, size in subsets:
             if size > limit:
                 break  # sizes only grow from here
-            if s & ~home:
+            if s & away:
                 continue
             attempts += 1
             if attempts > budget:
@@ -415,14 +433,16 @@ def find_minor(
                 )
             # each pattern neighbour still to come needs its own branch set,
             # disjoint from the rest and touching s: an unused host neighbour
-            if (around & ~used).bit_count() < later[i]:
+            if need and (around & free).bit_count() < need:
                 continue
             # s misses every placed image: an edge joins the two iff a neighbour does
-            for image in linked:
-                if not around & image:
+            for j in linked:
+                if not around & images[j]:
                     break
             else:
                 images.append(s)
+                if i == last:
+                    return images
                 rims.append(around)
                 res = place(i + 1, used | s, images, rims)
                 if res is not None:
@@ -431,11 +451,12 @@ def find_minor(
                 rims.pop()
         return None
 
-    model = place(0, 0, [], [])
+    model = place(0, 0, [], []) if n else []
     if model is None:
         return None
-    sets = [{v for k, v in enumerate(names) if m >> k & 1} for m in model]
-    return MinorMap.of(dict(zip(pattern.names, sets)))
+    names, single = plan.names, plan.single
+    sets = [single.get(m) or frozenset({names[k] for k in _bits(m)}) for m in model]
+    return MinorMap(tuple(sorted(zip(pattern.names, sets))))
 
 
 def extend_to_onto(g: Hypergraph, host: Hypergraph, mm: MinorMap) -> MinorMap:

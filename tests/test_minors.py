@@ -12,7 +12,7 @@ import hgdilute.acceptance as acceptance
 import hgdilute.dilution as dilution
 import hgdilute.minors as minors
 from hgdilute.acceptance import _connected_graphs_upto, _degree2_corpus
-from hgdilute.decomposition import exact_treewidth
+from hgdilute.decomposition import DEFAULT_TW_VERTEX_LIMIT, exact_treewidth
 from hgdilute.dilution import (
     DilutionSequence,
     MergeOn,
@@ -349,6 +349,21 @@ class TestAbsenceCertificates:
     def test_larger_treewidth(self, host, g):
         assume(_wider(_pattern(g), _host(host)))
         assert not has_minor_by_branch_sets(g, host)
+
+    @given(hosts_upto7(), patterns_upto5())
+    @settings(max_examples=100)
+    def test_wider_is_the_plain_rule(self, host, g):
+        # _wider skips the host's bound when the pattern's lies at or below
+        # the host's least degree; the answer must be the rule's all the same
+        empty, lone = Hypergraph(frozenset(), frozenset()), H(extra="a")
+        for h, p in [(host, g), (empty, g), (host, lone), (empty, lone)]:
+            pattern, plan = _pattern(p), _host(h)
+            wider = _wider(pattern, plan)
+            n, bound = len(pattern.adj), plan.min_degree_width
+            if n > DEFAULT_TW_VERTEX_LIMIT or bound >= n - 1:
+                assert not wider
+            else:
+                assert wider == (pattern.treewidth > bound)
 
     def test_treewidth_is_exact_where_min_degree_is_loose(self):
         # min-degree elimination reads 4 on this pattern; its treewidth is 3
